@@ -1,6 +1,5 @@
 #include "core/bundler.hh"
 
-#include <array>
 #include <cassert>
 #include <stdexcept>
 
@@ -11,43 +10,43 @@ namespace
 {
 
 /**
- * Byte-expansion table: entry [b] holds two 64-bit words whose four
- * 16-bit lanes are the bits b0..b3 and b4..b7 of the byte, each as the
- * value 0 or 1. Adding these words to the lane counters increments the
- * counters of the byte's set components.
+ * Add the @p K input words at @p in to the counts of the same words of
+ * every plane, starting at @p plane (plane stride @p stride words):
+ * XOR each carry into its plane word, keep the AND as the carry into
+ * the next plane, and stop once no carry is left. The K words share
+ * one loop exit, which keeps the branch predictable and the carry
+ * chains independent. The planes hold every count exactly, so the
+ * carry dies before it can leave the top plane.
  */
-struct ExpandTable
+template <std::size_t K>
+inline void
+ripple(const std::uint64_t *in, std::uint64_t *plane,
+       std::size_t stride)
 {
-    std::array<std::array<std::uint64_t, 2>, 256> entries{};
-
-    constexpr ExpandTable()
-    {
-        for (unsigned b = 0; b < 256; ++b) {
-            std::uint64_t lo = 0, hi = 0;
-            for (unsigned i = 0; i < 4; ++i) {
-                if (b & (1u << i))
-                    lo |= 1ULL << (16 * i);
-                if (b & (1u << (4 + i)))
-                    hi |= 1ULL << (16 * i);
-            }
-            entries[b] = {lo, hi};
+    std::uint64_t carry[K];
+    std::uint64_t any = 0;
+    for (std::size_t k = 0; k < K; ++k)
+        any |= carry[k] = in[k];
+    for (; any != 0; plane += stride) {
+        any = 0;
+        for (std::size_t k = 0; k < K; ++k) {
+            const std::uint64_t x = plane[k];
+            plane[k] = x ^ carry[k];
+            carry[k] &= x;
+            any |= carry[k];
         }
     }
-};
+}
 
-constexpr ExpandTable expandTable;
+/** Words rippled together by Bundler::add. */
+constexpr std::size_t rippleGroup = 4;
 
 } // namespace
 
 Bundler::Bundler(std::size_t dim)
     : numBits(dim),
-      lanes((dim + lanesPerWord - 1) / lanesPerWord +
-            // Pad so the byte loop may write two lane words for every
-            // byte of the (word-padded) hypervector storage without
-            // bounds checks: 16 lane words per hypervector word.
-            16,
-          0),
-      totals(dim, 0)
+      numWords((dim + Hypervector::bitsPerWord - 1) /
+               Hypervector::bitsPerWord)
 {
 }
 
@@ -55,23 +54,19 @@ void
 Bundler::add(const Hypervector &hv)
 {
     assert(hv.dim() == numBits);
-    if (pendingAdds == flushThreshold)
-        flush();
-
-    std::uint64_t *lane = lanes.data();
-    const std::size_t words = hv.words();
-    for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t word = hv.word(w);
-        for (unsigned byte = 0; byte < 8; ++byte) {
-            const auto &e =
-                expandTable.entries[static_cast<unsigned char>(word)];
-            lane[0] += e[0];
-            lane[1] += e[1];
-            lane += 2;
-            word >>= 8;
-        }
+    if ((added + 1) >> numPlanes) {
+        // The new count needs one more bit: grow by exactly one plane.
+        planes.reserve(planes.size() + numWords);
+        planes.resize(planes.size() + numWords, 0);
+        ++numPlanes;
     }
-    ++pendingAdds;
+    const std::uint64_t *in = hv.data();
+    std::uint64_t *base = planes.data();
+    std::size_t w = 0;
+    for (; w + rippleGroup <= numWords; w += rippleGroup)
+        ripple<rippleGroup>(in + w, base + w, numWords);
+    for (; w < numWords; ++w)
+        ripple<1>(in + w, base + w, numWords);
     ++added;
 }
 
@@ -79,8 +74,12 @@ std::uint32_t
 Bundler::onesCount(std::size_t i) const
 {
     assert(i < numBits);
-    flush();
-    return totals[i];
+    const std::size_t w = i / Hypervector::bitsPerWord;
+    const unsigned bit = i % Hypervector::bitsPerWord;
+    std::uint64_t count = 0;
+    for (std::size_t p = 0; p < numPlanes; ++p)
+        count |= ((planes[p * numWords + w] >> bit) & 1ULL) << p;
+    return static_cast<std::uint32_t>(count);
 }
 
 Hypervector
@@ -88,39 +87,43 @@ Bundler::majority(Rng &rng) const
 {
     if (added == 0)
         throw std::logic_error("Bundler::majority: nothing accumulated");
-    flush();
-    Hypervector result(numBits);
-    for (std::size_t i = 0; i < numBits; ++i) {
-        const std::uint64_t twice = 2ULL * totals[i];
-        if (twice > added)
-            result.set(i, true);
-        else if (twice == added)
-            result.set(i, rng.nextBool());
+    // 2 * count > added  <=>  count > floor(added / 2), for either
+    // parity; 2 * count == added only for an even count.
+    const std::uint64_t half = added / 2;
+    const bool even = added % 2 == 0;
+    std::vector<std::uint64_t> out(numWords);
+    for (std::size_t w = 0; w < numWords; ++w) {
+        // Compare every count in the word against half, most
+        // significant plane first.
+        std::uint64_t above = 0, equal = ~0ULL;
+        for (std::size_t p = numPlanes; p-- > 0;) {
+            const std::uint64_t x = planes[p * numWords + w];
+            if ((half >> p) & 1ULL) {
+                equal &= x;
+            } else {
+                above |= equal & x;
+                equal &= ~x;
+            }
+        }
+        // Ties draw one coin each, in ascending component order. An
+        // even count has half >= 1, so some plane has masked equal
+        // down to real components: the clean tail draws nothing.
+        if (even) {
+            for (std::uint64_t t = equal; t != 0; t &= t - 1)
+                if (rng.nextBool())
+                    above |= t & (~t + 1);
+        }
+        out[w] = above;
     }
-    return result;
+    return Hypervector::fromWords(numBits, out.data());
 }
 
 void
 Bundler::clear()
 {
     added = 0;
-    pendingAdds = 0;
-    std::fill(lanes.begin(), lanes.end(), 0);
-    std::fill(totals.begin(), totals.end(), 0);
-}
-
-void
-Bundler::flush() const
-{
-    if (pendingAdds == 0)
-        return;
-    for (std::size_t i = 0; i < numBits; ++i) {
-        const std::uint64_t word = lanes[i / lanesPerWord];
-        totals[i] += static_cast<std::uint32_t>(
-            (word >> (16 * (i % lanesPerWord))) & 0xffffULL);
-    }
-    std::fill(lanes.begin(), lanes.end(), 0);
-    pendingAdds = 0;
+    numPlanes = 0;
+    planes.clear();
 }
 
 } // namespace hdham

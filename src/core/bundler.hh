@@ -7,10 +7,16 @@
  * ops::bundle would be prohibitively slow and large, so Bundler keeps
  * per-component ones-counts and finalizes with a single majority pass.
  *
- * The hot path packs four 16-bit lane counters per 64-bit word and adds
- * byte-expanded hypervector bits via a 256-entry lookup table; lanes are
- * flushed into 32-bit counters before they can saturate, so any number
- * of inputs up to 2^32 - 1 is exact.
+ * The counts are bit-sliced: counter plane p holds bit p of every
+ * component's count, packed 64 components per word like the
+ * hypervectors themselves. Adding a hypervector is a word-parallel
+ * ripple-carry increment (XOR into a plane, AND out the carry to the
+ * next) that stops as soon as a group of words has no carry left, so
+ * the amortized cost per input word is a few planes whatever the
+ * count. Planes are grown on demand -- ceil(log2(count + 1)) of them,
+ * one hypervector's worth of words each -- so a bundler of one input
+ * costs one plane, and every count is exact. The majority is a
+ * word-parallel compare of the planes against count / 2.
  */
 
 #ifndef HDHAM_CORE_BUNDLER_HH
@@ -69,21 +75,17 @@ class Bundler
     void clear();
 
   private:
-    /** Drain the 16-bit lane counters into the 32-bit counters. */
-    void flush() const;
-
-    static constexpr std::uint64_t lanesPerWord = 4;
-    /** Flush before a lane can reach 2^16. */
-    static constexpr std::uint64_t flushThreshold = 65535;
-
     std::size_t numBits;
+    /** Words per plane (one hypervector's storage). */
+    std::size_t numWords;
     std::uint64_t added = 0;
-    /** Adds since the last flush (bounded by flushThreshold). */
-    mutable std::uint64_t pendingAdds = 0;
-    /** Four 16-bit lane counters per word; numBits/4 words (padded). */
-    mutable std::vector<std::uint64_t> lanes;
-    /** Full-precision per-component counters. */
-    mutable std::vector<std::uint32_t> totals;
+    /** Planes allocated: enough to hold @c added exactly. */
+    std::size_t numPlanes = 0;
+    /**
+     * Counter planes, plane-major: bit b of planes[p * numWords + w]
+     * is bit p of the count of component 64 * w + b.
+     */
+    std::vector<std::uint64_t> planes;
 };
 
 } // namespace hdham

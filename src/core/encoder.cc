@@ -7,7 +7,7 @@ namespace hdham
 {
 
 Encoder::Encoder(const ItemMemory &items, std::size_t n)
-    : items(items), n(n), dimension(items.dim())
+    : n(n), dimension(items.dim())
 {
     if (n == 0)
         throw std::invalid_argument("Encoder: n must be positive");

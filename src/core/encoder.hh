@@ -10,6 +10,12 @@
  * where A, B, C are the seed hypervectors of the letters and rho is the
  * cyclic permutation. Rotation of a seed by a fixed amount is
  * precomputed per (symbol, position) so the hot loop is pure XOR.
+ *
+ * An Encoder copies what it needs out of the item memory and keeps
+ * no reference to it, so it can live as long as whatever owns it. A
+ * published snapshot (core/snapshot.hh) builds its encoder once, next
+ * to the item memory it freezes; the server's text requests borrow
+ * the pinned snapshot's encoder rather than building one each.
  */
 
 #ifndef HDHAM_CORE_ENCODER_HH
@@ -73,7 +79,6 @@ class Encoder
     Hypervector encode(const std::string &text, Rng &rng) const;
 
   private:
-    const ItemMemory &items;
     std::size_t n;
     std::size_t dimension;
     /**

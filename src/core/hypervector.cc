@@ -144,34 +144,34 @@ Hypervector::rotated(std::size_t amount) const
     amount %= numBits;
     if (amount == 0)
         return *this;
+    // Shift and stitch: the result is (x << amount) | (x >> (D -
+    // amount)) over the D-bit string, each half a multi-word shift.
+    // Bits the up-shift pushes past D are cleared with the tail; the
+    // down-shift reads only clean tail zeros past D.
     Hypervector result(numBits);
-    // Word-level rotation when the dimension is word-aligned and the
-    // shift is word-aligned; generic bit loop otherwise. The generic
-    // path is only exercised by small test vectors.
-    if (numBits % bitsPerWord == 0 && amount % bitsPerWord == 0) {
-        const std::size_t wordShift = amount / bitsPerWord;
-        const std::size_t n = storage.size();
-        for (std::size_t i = 0; i < n; ++i)
-            result.storage[(i + wordShift) % n] = storage[i];
-        return result;
+    const std::size_t n = storage.size();
+    const std::uint64_t *src = storage.data();
+    std::uint64_t *dst = result.storage.data();
+
+    const std::size_t upWords = amount / bitsPerWord;
+    const unsigned upBits = amount % bitsPerWord;
+    for (std::size_t j = upWords; j < n; ++j) {
+        std::uint64_t v = src[j - upWords] << upBits;
+        if (upBits != 0 && j > upWords)
+            v |= src[j - upWords - 1] >> (bitsPerWord - upBits);
+        dst[j] = v;
     }
-    if (numBits % bitsPerWord == 0) {
-        // Word-aligned dimension, arbitrary shift: each destination word
-        // is the current word shifted up stitched with the carry bits of
-        // its cyclic predecessor.
-        const std::size_t wordShift = amount / bitsPerWord;
-        const unsigned bitShift = amount % bitsPerWord;
-        const std::size_t n = storage.size();
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t cur = storage[i];
-            const std::uint64_t prev = storage[(i + n - 1) % n];
-            result.storage[(i + wordShift) % n] =
-                (cur << bitShift) | (prev >> (bitsPerWord - bitShift));
-        }
-        return result;
+
+    const std::size_t down = numBits - amount;
+    const std::size_t downWords = down / bitsPerWord;
+    const unsigned downBits = down % bitsPerWord;
+    for (std::size_t j = 0; j + downWords < n; ++j) {
+        std::uint64_t v = src[j + downWords] >> downBits;
+        if (downBits != 0 && j + downWords + 1 < n)
+            v |= src[j + downWords + 1] << (bitsPerWord - downBits);
+        dst[j] |= v;
     }
-    for (std::size_t i = 0; i < numBits; ++i)
-        result.set((i + amount) % numBits, get(i));
+    result.clearTail();
     return result;
 }
 

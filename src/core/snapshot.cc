@@ -127,6 +127,8 @@ MemorySnapshot::MemorySnapshot(AssociativeMemory &&ownedMem,
     owned->setScanPolicy(opts.policy);
     owned->attachMetrics(opts.sink);
     mem = &*owned;
+    if (items.has_value())
+        textEncoder.emplace(*items);
 }
 
 MemorySnapshot::MemorySnapshot(modelfile::ModelView &&mapped,
@@ -137,8 +139,10 @@ MemorySnapshot::MemorySnapshot(modelfile::ModelView &&mapped,
     view->memory().attachMetrics(opts.sink);
     // Side memories are materialized (copied out of the mapping) so
     // an encoder built on them never depends on page residency.
-    if (view->hasItemMemory())
+    if (view->hasItemMemory()) {
         items = view->itemMemory();
+        textEncoder.emplace(*items);
+    }
     if (view->hasLevelMemory())
         levels = view->levelMemory();
     mem = &std::as_const(*view).memory();

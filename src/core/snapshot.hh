@@ -54,6 +54,7 @@
 #include <string>
 
 #include "core/assoc_memory.hh"
+#include "core/encoder.hh"
 #include "core/item_memory.hh"
 #include "core/level_memory.hh"
 #include "core/metrics.hh"
@@ -115,7 +116,11 @@ void unref(Node *node);
  * Immutable snapshot of a servable memory: the frozen class store
  * (owned in RAM or mapped from an hdham.model.v1 file), its labels,
  * the scan policy and metrics sink it serves with, and the side
- * memories an encoder needs to turn raw inputs into queries.
+ * memories an encoder needs to turn raw inputs into queries. A
+ * snapshot that carries an item memory also carries the text Encoder
+ * built from it, once, when the snapshot is frozen: every text
+ * request served from the snapshot borrows that encoder, and it
+ * retires with the item memory it was built from.
  *
  * Everything observable is fixed before publication; afterwards the
  * object is only ever read, concurrently, until the last reference
@@ -133,7 +138,7 @@ class MemorySnapshot
      * Freeze an in-RAM memory (typically a SnapshotBuilder product
      * or a legacy-format load) into a snapshot. The memory is moved
      * in; @p items / @p levels are optional side memories carried
-     * along for encoder rebuilds.
+     * along, and @p items also gets the snapshot its encoder().
      */
     static std::unique_ptr<MemorySnapshot>
     fromMemory(AssociativeMemory &&am, const Options &opts = {},
@@ -151,7 +156,7 @@ class MemorySnapshot
     /**
      * Map an hdham.model.v1 file and freeze the zero-copy view as a
      * snapshot (row words served straight from the mapping; side
-     * memories materialized so the encoder survives swaps). Legacy
+     * memories materialized, and the encoder built from them). Legacy
      * stream files are parsed into RAM instead. Either way the
      * resulting snapshot serves bit-identically to the saved store.
      * @throws std::runtime_error on malformed input.
@@ -190,6 +195,12 @@ class MemorySnapshot
     /** The frozen item memory. @pre hasItemMemory(). */
     const ItemMemory &itemMemory() const { return *items; }
 
+    /**
+     * The trigram text encoder over the frozen item memory, built
+     * with the snapshot. @pre hasItemMemory().
+     */
+    const Encoder &encoder() const { return *textEncoder; }
+
     /** Whether the snapshot carries a level memory. */
     bool hasLevelMemory() const { return levels.has_value(); }
 
@@ -222,6 +233,8 @@ class MemorySnapshot
     /** The served memory: &view->memory() or &*owned. */
     const AssociativeMemory *mem = nullptr;
     std::optional<ItemMemory> items;
+    /** Engaged exactly when items is. */
+    std::optional<Encoder> textEncoder;
     std::optional<LevelItemMemory> levels;
 };
 

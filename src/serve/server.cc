@@ -105,12 +105,13 @@ Server::loadModel(const std::string &path)
         std::make_unique<snapshot::SnapshotBuilder>(*pin);
     if (!pin->hasItemMemory()) {
         // Legacy models carry no encoder seeds; regenerate the
-        // library defaults once and freeze them into every future
-        // snapshot via the builder.
-        const lang::PipelineConfig defaults;
-        fallbackItems.emplace(TextAlphabet::size, pin->dim(),
-                              defaults.seed);
-        updateBuilder->setItemMemory(*fallbackItems);
+        // library defaults once. This snapshot is served by the
+        // fallback encoder; every future one carries the seeds (and
+        // its own encoder) via the builder.
+        ItemMemory fallbackItems(TextAlphabet::size, pin->dim(),
+                                 lang::PipelineConfig{}.seed);
+        fallbackEncoder.emplace(fallbackItems);
+        updateBuilder->setItemMemory(std::move(fallbackItems));
     }
 }
 
@@ -288,13 +289,13 @@ Server::pinOrThrow() const
     return pin;
 }
 
-const ItemMemory &
-Server::itemsFor(const snapshot::MemorySnapshot &snap) const
+const Encoder &
+Server::encoderFor(const snapshot::MemorySnapshot &snap) const
 {
     if (snap.hasItemMemory())
-        return snap.itemMemory();
-    if (fallbackItems.has_value())
-        return *fallbackItems;
+        return snap.encoder();
+    if (fallbackEncoder.has_value())
+        return *fallbackEncoder;
     throw std::runtime_error("serve: model has no item memory");
 }
 
@@ -338,8 +339,7 @@ Server::doClassify(Reader &req)
     // exactly one published snapshot.
     const snapshot::SnapshotRef pin = pinOrThrow();
     const AssociativeMemory &memory = pin->memory();
-    const lang::PipelineConfig defaults;
-    const Encoder encoder(itemsFor(*pin), defaults.ngram);
+    const Encoder &encoder = encoderFor(*pin);
     Rng rng(classifySeed());
 
     std::vector<Hypervector> queries;
@@ -430,8 +430,7 @@ Server::doUpdate(Reader &req)
     const std::uint32_t count = req.u32();
 
     const snapshot::SnapshotRef pin = pinOrThrow();
-    const lang::PipelineConfig defaults;
-    const Encoder encoder(itemsFor(*pin), defaults.ngram);
+    const Encoder &encoder = encoderFor(*pin);
     Rng rng(updateSeed());
 
     std::uint32_t applied = 0;

@@ -34,7 +34,7 @@
 #include <thread>
 #include <vector>
 
-#include "core/item_memory.hh"
+#include "core/encoder.hh"
 #include "core/metrics.hh"
 #include "core/packed_rows.hh"
 #include "core/row_store.hh"
@@ -133,8 +133,8 @@ class Server
     /** Pin the current snapshot or throw ("no model loaded"). */
     snapshot::SnapshotRef pinOrThrow() const;
 
-    /** The item memory serving @p snap (embedded or fallback). */
-    const ItemMemory &itemsFor(const snapshot::MemorySnapshot &snap)
+    /** The text encoder serving @p snap (its own or the fallback). */
+    const Encoder &encoderFor(const snapshot::MemorySnapshot &snap)
         const;
 
     /** Parse one wire hypervector, validating the word count. */
@@ -156,10 +156,12 @@ class Server
     std::mutex traceMu;
 
     /**
-     * Encoder seeds for models that embed no item memory, generated
-     * once from the library-default pipeline configuration.
+     * Text encoder for a loaded model that embeds no item memory,
+     * built once over seeds generated from the library-default
+     * pipeline configuration. Snapshots the builder publishes carry
+     * those seeds, and with them their own encoder.
      */
-    std::optional<ItemMemory> fallbackItems;
+    std::optional<Encoder> fallbackEncoder;
 
     int listenFd = -1;
     std::uint16_t resolvedPort = 0;

@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 #include "core/bundler.hh"
 #include "core/hypervector.hh"
 #include "core/random.hh"
@@ -174,6 +178,49 @@ TEST(BundlerTest, MixedReadsAndWrites)
         for (std::size_t i = 0; i < dim; ++i)
             manual[i] += hv.get(i);
         EXPECT_EQ(b.onesCount(round % dim), manual[round % dim]);
+    }
+}
+
+TEST(BundlerTest, MatchesPerComponentCountersAcrossPlaneGrowth)
+{
+    // Against naive uint32 counters and the per-component majority
+    // loop: every ones-count, the majority, and the tie RNG's state
+    // afterwards, at each count on either side of a power of two up
+    // to 2^9 + 1. Component 0 is one in every input, so its count
+    // sits exactly on each boundary.
+    for (const std::size_t dim : {1u, 63u, 64u, 65u, 10000u}) {
+        Rng inputs(100 + dim);
+        Bundler b(dim);
+        std::vector<std::uint32_t> naive(dim, 0);
+        for (std::uint64_t n = 1; n <= 513; ++n) {
+            Hypervector hv = Hypervector::random(dim, inputs);
+            hv.set(0, true);
+            b.add(hv);
+            for (std::size_t i = 0; i < dim; ++i)
+                naive[i] += hv.get(i);
+            if (std::popcount(n) != 1 && std::popcount(n + 1) != 1 &&
+                std::popcount(n - 1) != 1)
+                continue;
+
+            ASSERT_EQ(b.count(), n);
+            for (std::size_t i = 0; i < dim; ++i)
+                ASSERT_EQ(b.onesCount(i), naive[i])
+                    << "dim=" << dim << " n=" << n << " i=" << i;
+
+            Rng tieGot(n), tieWant(n);
+            Hypervector want(dim);
+            for (std::size_t i = 0; i < dim; ++i) {
+                const std::uint64_t twice = 2ULL * naive[i];
+                if (twice > n)
+                    want.set(i, true);
+                else if (twice == n)
+                    want.set(i, tieWant.nextBool());
+            }
+            EXPECT_EQ(b.majority(tieGot), want)
+                << "dim=" << dim << " n=" << n;
+            EXPECT_EQ(tieGot.next(), tieWant.next())
+                << "dim=" << dim << " n=" << n;
+        }
     }
 }
 

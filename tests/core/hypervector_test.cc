@@ -212,6 +212,33 @@ TEST(HypervectorTest, RotateMatchesBitwiseDefinition)
     }
 }
 
+TEST(HypervectorTest, RotateMatchesPerBitDefinitionAtAnyDimension)
+{
+    // Word-aligned and ragged dimensions, with shifts on both sides
+    // of every word boundary and at and past a full turn.
+    Rng rng(14);
+    for (const std::size_t dim : {1u, 63u, 65u, 1000u, 10000u, 10001u}) {
+        const Hypervector a = Hypervector::random(dim, rng);
+        for (const std::size_t amt :
+             {std::size_t{0}, std::size_t{1}, std::size_t{63},
+              std::size_t{64}, std::size_t{65}, dim - 1, dim,
+              dim + 7}) {
+            Hypervector want(dim);
+            for (std::size_t i = 0; i < dim; ++i)
+                want.set((i + amt) % dim, a.get(i));
+            const Hypervector got = a.rotated(amt);
+            EXPECT_EQ(got, want) << "dim=" << dim << " amt=" << amt;
+            if (dim % Hypervector::bitsPerWord != 0) {
+                EXPECT_EQ(got.word(got.words() - 1) >>
+                              (dim % Hypervector::bitsPerWord),
+                          0u)
+                    << "tail not clean: dim=" << dim
+                    << " amt=" << amt;
+            }
+        }
+    }
+}
+
 TEST(HypervectorTest, RotatedIsNearlyOrthogonal)
 {
     Rng rng(14);

@@ -23,6 +23,7 @@
 #include "core/item_memory.hh"
 #include "core/model_file.hh"
 #include "core/random.hh"
+#include "support/temp_path.hh"
 
 namespace
 {
@@ -139,7 +140,7 @@ serializedModel(const StoreLayout &layout, bool withItems = true)
 std::string
 tempFile(const std::string &name, const std::string &bytes)
 {
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = hdham::test::uniqueTempPath(name);
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out.write(bytes.data(),
               static_cast<std::streamsize>(bytes.size()));

@@ -26,6 +26,7 @@
 #include "core/random.hh"
 #include "core/serialize.hh"
 #include "fixtures/model_fixture.hh"
+#include "support/temp_path.hh"
 
 #ifndef HDHAM_TEST_DATA_DIR
 #error "HDHAM_TEST_DATA_DIR must point at tests/data"
@@ -144,7 +145,8 @@ TEST(ModelFormatGoldenTest, LegacyConversionAgreesWithGolden)
         const AssociativeMemory model =
             testfix::buildFixtureMemory(spec);
         const std::string legacyFile =
-            ::testing::TempDir() + "golden_legacy_" + spec.file;
+            hdham::test::uniqueTempPath(std::string("golden_legacy_") +
+                                        spec.file);
         serialize::saveMemory(legacyFile, model);
         const AssociativeMemory legacy =
             serialize::loadMemory(legacyFile);

@@ -26,6 +26,7 @@
 #include "core/metrics.hh"
 #include "core/model_file.hh"
 #include "core/random.hh"
+#include "support/temp_path.hh"
 
 namespace
 {
@@ -99,7 +100,7 @@ buildModel(std::size_t dim, std::size_t classes, Rng &rng,
 std::string
 savedTo(const std::string &name, const AssociativeMemory &am)
 {
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = hdham::test::uniqueTempPath(name);
     modelfile::save(path, am);
     return path;
 }
@@ -244,7 +245,7 @@ TEST(ModelRoundTripPropertyTest, SideMemoriesSurviveTheTrip)
     modelfile::SaveOptions opts;
     opts.items = &items;
     opts.levels = &levels;
-    const std::string path = ::testing::TempDir() + "rt_items.hdc";
+    const std::string path = hdham::test::uniqueTempPath("rt_items.hdc");
     modelfile::save(path, am, opts);
     modelfile::ModelView view(path);
     ASSERT_TRUE(view.hasItemMemory());

@@ -24,6 +24,7 @@
 #include "core/random.hh"
 #include "core/snapshot.hh"
 #include "ham/d_ham.hh"
+#include "support/temp_path.hh"
 
 namespace
 {
@@ -213,7 +214,7 @@ TEST(SnapshotEquivalenceTest, MatchesDirectEngineAcrossGrid)
 TEST(SnapshotEquivalenceTest, MappedModelMatchesDirectEngine)
 {
     const std::string path =
-        ::testing::TempDir() + "snapshot_equiv_model.hdc";
+        hdham::test::uniqueTempPath("snapshot_equiv_model.hdc");
     const AssociativeMemory original = testMemory();
     hdham::modelfile::save(path, original);
 

@@ -137,12 +137,17 @@ TEST(SnapshotSoakTest, ReadersObserveCoherentSnapshotsAcrossSwaps)
         std::uint64_t lastSeq = 0;
         std::uint64_t seenMask = 0;
         // Run at least kReaderIters, then keep reading until the
-        // final generation is observed (bounded by the failsafe so a
-        // broken publish cannot hang the suite).
-        for (int iter = 0; iter < 1000000; ++iter) {
+        // final generation is observed, or until a pin taken after
+        // the writer finished (which holds the final head, so a
+        // broken publish cannot hang the suite). No iteration cap: a
+        // writer starved by an oversubscribed host must not let the
+        // readers give up before its last swap.
+        bool pinnedAfterWriter = false;
+        for (int iter = 0;; ++iter) {
             if (iter >= kReaderIters &&
-                (lastSeq == kGenerations || stop.load()))
+                (lastSeq == kGenerations || pinnedAfterWriter))
                 break;
+            pinnedAfterWriter = stop.load();
             const SnapshotRef pin = source.acquire();
             if (!pin) {
                 ++failures;

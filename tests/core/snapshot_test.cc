@@ -23,6 +23,7 @@
 #include "core/serialize.hh"
 #include "core/snapshot.hh"
 #include "core/trainable_memory.hh"
+#include "support/temp_path.hh"
 
 namespace
 {
@@ -56,7 +57,7 @@ randomMemory(std::size_t classes, std::uint64_t seed)
 struct TempFile
 {
     explicit TempFile(const std::string &name)
-        : path(::testing::TempDir() + name)
+        : path(hdham::test::uniqueTempPath(name))
     {
     }
     ~TempFile() { std::remove(path.c_str()); }

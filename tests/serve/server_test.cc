@@ -32,6 +32,7 @@
 #include "lang/pipeline.hh"
 #include "serve/client.hh"
 #include "serve/server.hh"
+#include "support/temp_path.hh"
 
 namespace
 {
@@ -66,15 +67,19 @@ fixtureMemory()
     return am;
 }
 
-/** Write the fixture model (with an item memory) to a temp file. */
+/**
+ * Write the fixture model (with an item memory unless @p withItems
+ * is false) to a per-process, per-test temp file.
+ */
 std::string
-writeFixtureModel(const std::string &name)
+writeFixtureModel(const std::string &name, bool withItems = true)
 {
-    const std::string path = ::testing::TempDir() + name;
+    const std::string path = hdham::test::uniqueTempPath(name);
     const AssociativeMemory am = fixtureMemory();
     const ItemMemory items(TextAlphabet::size, kDim, kItemSeed);
     hdham::modelfile::SaveOptions opts;
-    opts.items = &items;
+    if (withItems)
+        opts.items = &items;
     hdham::modelfile::save(path, am, opts);
     return path;
 }
@@ -93,9 +98,10 @@ fixtureQueries(std::size_t count)
 struct ServerFixture
 {
     explicit ServerFixture(ServerConfig cfg = {},
-                           const std::string &tag = "s")
-        : modelPath(writeFixtureModel("server_test_" + tag +
-                                      ".hdc"))
+                           const std::string &tag = "s",
+                           bool withItems = true)
+        : modelPath(writeFixtureModel(
+              "server_test_" + tag + ".hdc", withItems))
     {
         // Keep the path short: sockaddr_un caps sun_path around 108
         // characters and TempDir can be long in some environments.
@@ -200,6 +206,106 @@ TEST(ServerTest, ClassifyMatchesLocalEncodeWithCliSeed)
         EXPECT_EQ(reply.results[i].classId, want.classId);
         EXPECT_EQ(reply.results[i].distance, want.bestDistance);
     }
+}
+
+/**
+ * Classify @p texts through the server and expect, text by text, the
+ * answer of a fresh in-process trigram encoder over @p items (with
+ * the CLI tie-break seed) searched against @p memory.
+ */
+void
+expectClassifyMatchesLocal(Client &client,
+                           const std::vector<std::string> &texts,
+                           const ItemMemory &items,
+                           const AssociativeMemory &memory)
+{
+    const QueryReply reply = client.classify(texts);
+    ASSERT_EQ(reply.results.size(), texts.size());
+    const hdham::lang::PipelineConfig defaults;
+    const Encoder encoder(items, defaults.ngram);
+    Rng rng(defaults.seed ^ 0x636c6966ULL);
+    for (std::size_t i = 0; i < texts.size(); ++i) {
+        const auto want = memory.search(encoder.encode(texts[i], rng));
+        EXPECT_EQ(reply.results[i].classId, want.classId) << i;
+        EXPECT_EQ(reply.results[i].distance, want.bestDistance) << i;
+        EXPECT_EQ(reply.results[i].label, memory.labelOf(want.classId))
+            << i;
+    }
+}
+
+const std::vector<std::string> kClassifyTexts = {
+    "the quick brown fox jumps over the lazy dog",
+    "pack my box with five dozen liquor jugs",
+    "aaaa bbbb cccc dddd eeee ffff gggg",
+};
+
+TEST(ServerTest, ClassifyAfterUpdateAndSwapMatchesLocalEncode)
+{
+    ServerFixture fx({}, "clsswap");
+    Client client = fx.connect();
+    client.update(hdham::serve::kLabeled,
+                  {{"newlang", "aaaa bbbb cccc dddd eeee ffff gggg"}});
+    ASSERT_EQ(client.swap().sequence, 2u);
+
+    const hdham::snapshot::SnapshotRef pin =
+        fx.server->snapshots().acquire();
+    ASSERT_EQ(pin->sequence(), 2u);
+    const ItemMemory items(TextAlphabet::size, kDim, kItemSeed);
+    expectClassifyMatchesLocal(client, kClassifyTexts, items,
+                               pin->memory());
+}
+
+TEST(ServerTest, ClassifyFollowsAPublishedItemMemory)
+{
+    ServerFixture fx({}, "clsitems");
+    Client client = fx.connect();
+    const ItemMemory original(TextAlphabet::size, kDim, kItemSeed);
+    expectClassifyMatchesLocal(client, kClassifyTexts, original,
+                               fixtureMemory());
+
+    // Publish the same classes under different encoder seeds: the
+    // next classify must encode with the new seeds, not the ones the
+    // server loaded.
+    const ItemMemory other(TextAlphabet::size, kDim, kItemSeed + 1);
+    fx.server->snapshots().publish(
+        hdham::snapshot::MemorySnapshot::fromMemory(
+            fixtureMemory(), {}, other));
+    const QueryReply published = client.classify(kClassifyTexts);
+    expectClassifyMatchesLocal(client, kClassifyTexts, other,
+                               fixtureMemory());
+
+    // The check can tell the two item memories apart.
+    const hdham::lang::PipelineConfig defaults;
+    const Encoder stale(original, defaults.ngram);
+    Rng rng(defaults.seed ^ 0x636c6966ULL);
+    const AssociativeMemory local = fixtureMemory();
+    bool differs = false;
+    for (std::size_t i = 0; i < kClassifyTexts.size(); ++i)
+        differs |= published.results[i].distance !=
+                   local.search(stale.encode(kClassifyTexts[i], rng))
+                       .bestDistance;
+    EXPECT_TRUE(differs);
+}
+
+TEST(ServerTest, ClassifyWithoutEmbeddedItemsUsesLibraryDefaults)
+{
+    ServerFixture fx({}, "clsfallback", /*withItems=*/false);
+    Client client = fx.connect();
+    const ItemMemory defaults(TextAlphabet::size, kDim,
+                              hdham::lang::PipelineConfig{}.seed);
+    expectClassifyMatchesLocal(client, kClassifyTexts, defaults,
+                               fixtureMemory());
+
+    // Snapshots published from the update builder carry the same
+    // default seeds.
+    client.update(hdham::serve::kLabeled,
+                  {{"newlang", "aaaa bbbb cccc dddd eeee ffff gggg"}});
+    ASSERT_EQ(client.swap().sequence, 2u);
+    const hdham::snapshot::SnapshotRef pin =
+        fx.server->snapshots().acquire();
+    ASSERT_TRUE(pin->hasItemMemory());
+    expectClassifyMatchesLocal(client, kClassifyTexts, defaults,
+                               pin->memory());
 }
 
 TEST(ServerTest, UpdateThenSwapPublishesGrownSnapshot)
