@@ -16,9 +16,9 @@
  * numbers measure the metrics-disabled path.
  *
  * --kernel NAME pins the Hamming distance kernel (any registered
- * backend name -- scalar, unrolled, sse2, neon, avx2, avx512 -- or
- * auto) before any benchmark runs; the kernel actually used plus the
- * full compiled/available backend lists are reported in the stats
+ * backend name -- scalar, sse2, neon, avx2, avx512 -- or auto)
+ * before any benchmark runs; the kernel actually used plus the full
+ * compiled/available backend lists are reported in the stats
  * snapshot's "info" object either way, so a baseline records which
  * kernel matrix produced it.
  *
@@ -400,11 +400,13 @@ classScaleBenchmark(benchmark::State &state, RowLayout layout)
     ScanPolicy policy;
     policy.prune = PruneMode::Auto;
     policy.cascadePrefix = kScalePrefix;
+    std::vector<RowMatch> best;
     std::vector<std::size_t> scratch;
     for (auto _ : state) {
         for (const Hypervector &query : fx.queries) {
-            benchmark::DoNotOptimize(fx.rows.nearest(
-                query, kScaleDim, policy, nullptr, &scratch));
+            fx.rows.scan(query, {kScaleDim, 1, policy}, nullptr, best,
+                         &scratch);
+            benchmark::DoNotOptimize(best.data());
         }
     }
     state.SetItemsProcessed(state.iterations() * kScaleBatch);
@@ -447,10 +449,12 @@ BM_ClassScaleSharded(benchmark::State &state)
     ScanPolicy policy;
     policy.prune = PruneMode::Auto;
     policy.cascadePrefix = kScalePrefix;
+    std::vector<RowMatch> best;
     for (auto _ : state) {
         for (const Hypervector &query : fx.queries) {
-            benchmark::DoNotOptimize(fx.rows.nearestSharded(
-                query, kScaleDim, policy, 0, nullptr));
+            fx.rows.scan(query, {kScaleDim, 1, policy, 0}, nullptr,
+                         best);
+            benchmark::DoNotOptimize(best.data());
         }
     }
     state.SetItemsProcessed(state.iterations() * kScaleBatch);

@@ -93,8 +93,11 @@ BM_PackedRowsScan(benchmark::State &state)
     PackedRows rows(dim);
     bench::storeRandomClasses(rows, dim, classes, rng);
     const Hypervector query = Hypervector::random(dim, rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(rows.nearest(query, dim));
+    std::vector<RowMatch> best;
+    for (auto _ : state) {
+        rows.scan(query, {dim}, nullptr, best);
+        benchmark::DoNotOptimize(best.data());
+    }
     state.SetItemsProcessed(state.iterations() * classes);
 }
 BENCHMARK(BM_PackedRowsScan)

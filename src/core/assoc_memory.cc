@@ -11,6 +11,25 @@
 namespace hdham
 {
 
+namespace
+{
+
+/** The k = 1 scan of @p req, as a SearchResult. */
+SearchResult
+nearestOf(const PackedRows &rows, const Hypervector &query,
+          const ScanRequest &req, ScanStats *stats,
+          std::vector<RowMatch> &best,
+          std::vector<std::size_t> *cascadeScratch = nullptr)
+{
+    rows.scan(query, req, stats, best, cascadeScratch);
+    SearchResult result;
+    result.classId = best[0].index;
+    result.bestDistance = best[0].distance;
+    return result;
+}
+
+} // namespace
+
 std::size_t
 SearchResult::margin() const
 {
@@ -90,12 +109,12 @@ AssociativeMemory::searchSampled(const Hypervector &query,
     assert(prefix <= rows.dim());
 
     TRACE_SPAN("am.search");
-    SearchResult result;
     ScanStats stats;
-    result.classId =
-        rows.nearest(query, prefix, policy,
-                     sink ? &stats : nullptr, nullptr,
-                     &result.bestDistance);
+    // Reused across calls: a per-query allocation would cost more
+    // than scanning a small memory.
+    thread_local std::vector<RowMatch> best;
+    SearchResult result = nearestOf(rows, query, {prefix, 1, policy},
+                                    sink ? &stats : nullptr, best);
     if (sink) {
         sink->queries.add(1);
         sink->rowsScanned.add(rows.rows());
@@ -135,11 +154,12 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
     batch::requireStored(rows.rows(), "AssociativeMemory");
     const std::size_t prefix = rows.dim();
 
-    /** Per-chunk state: pruning tallies plus the cascade's reusable
-     *  prefix-distance scratch. */
+    /** Per-chunk state: pruning tallies plus the scan's reusable
+     *  result and cascade prefix-distance scratch. */
     struct Chunk
     {
         ScanStats stats;
+        std::vector<RowMatch> best;
         std::vector<std::size_t> scratch;
     };
     const auto mergeChunk = [&](const Chunk &chunk, std::size_t begin,
@@ -162,12 +182,10 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
             {"am.batch", "am.chunk"}, queries.size(), sink,
             [] { return Chunk{}; },
             [&](std::size_t q, Chunk &chunk) {
-                SearchResult result;
-                result.classId = rows.nearestSharded(
-                    queries[q], prefix, policy, threads,
-                    sink ? &chunk.stats : nullptr,
-                    &result.bestDistance);
-                return result;
+                return nearestOf(rows, queries[q],
+                                 {prefix, 1, policy, threads},
+                                 sink ? &chunk.stats : nullptr,
+                                 chunk.best, &chunk.scratch);
             },
             mergeChunk);
     }
@@ -176,12 +194,9 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
         {"am.batch", "am.chunk"}, queries.size(), threads, sink,
         [] { return Chunk{}; },
         [&](std::size_t q, Chunk &chunk) {
-            SearchResult result;
-            result.classId = rows.nearest(
-                queries[q], prefix, policy,
-                sink ? &chunk.stats : nullptr, &chunk.scratch,
-                &result.bestDistance);
-            return result;
+            return nearestOf(rows, queries[q], {prefix, 1, policy},
+                             sink ? &chunk.stats : nullptr, chunk.best,
+                             &chunk.scratch);
         },
         mergeChunk);
 }
@@ -193,7 +208,7 @@ AssociativeMemory::searchTopK(const Hypervector &query,
     if (rows.rows() == 0)
         throw std::logic_error("AssociativeMemory: empty search");
     std::vector<RowMatch> matches;
-    rows.topK(query, rows.dim(), k, policy, nullptr, matches);
+    rows.scan(query, {rows.dim(), k, policy}, nullptr, matches);
     std::vector<RankedMatch> ranked;
     ranked.reserve(matches.size());
     for (const RowMatch &m : matches)

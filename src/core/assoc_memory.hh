@@ -191,7 +191,7 @@ class AssociativeMemory
      * the batch with @p threads workers (0 = all hardware threads).
      * On a sharded store with a batch smaller than the worker
      * budget, parallelism flips inside each query instead (per-shard
-     * scans; see PackedRows::nearestSharded). Bit-identical to
+     * scans; see PackedRows::scan). Bit-identical to
      * calling search() per query in order, for every thread count,
      * batch split, layout and shard count.
      * @pre size() > 0 and every query.dim() == dim().

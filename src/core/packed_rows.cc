@@ -4,6 +4,8 @@
 #include <bit>
 #include <cassert>
 #include <limits>
+#include <optional>
+#include <span>
 #include <stdexcept>
 
 #include "core/distance.hh"
@@ -126,171 +128,6 @@ shardDistances(const ShardView &v, const std::uint64_t *q,
         out[r] = rowDist(v, r, q, prefix, fn);
 }
 
-/**
- * One shard's scan result: the shard's exact minimum distance and
- * the lowest local row index attaining it.
- */
-struct ShardBest
-{
-    std::size_t local = 0;
-    std::size_t distance = std::numeric_limits<std::size_t>::max();
-};
-
-/** Exhaustive (PruneMode::Off) per-shard argmin. */
-ShardBest
-shardNearestExhaustive(const ShardView &v, const std::uint64_t *q,
-                       std::size_t prefix, distance::HammingFn fn)
-{
-    ShardBest best;
-    for (std::size_t row = 0; row < v.rows; ++row) {
-        const std::size_t d = rowDist(v, row, q, prefix, fn);
-        if (d < best.distance) {
-            best.distance = d;
-            best.local = row;
-        }
-    }
-    return best;
-}
-
-/** Early-abandon per-shard argmin (no cascade). */
-ShardBest
-shardNearestPruned(const ShardView &v, const std::uint64_t *q,
-                   std::size_t prefix, const ScanPolicy &policy,
-                   ScanStats *stats, distance::HammingFn fn,
-                   distance::BoundedHammingFn bfn)
-{
-    const std::size_t rowSpan = wordsFor(prefix);
-    const std::size_t cutoff = cutoffFor(policy, prefix);
-    // One past any attainable distance, so the first row always
-    // produces an exact count and the strict-< update keeps the
-    // lowest-index tie rule of the exhaustive scan.
-    std::size_t best = prefix + 1;
-    std::size_t winner = 0;
-    for (std::size_t row = 0; row < v.rows; ++row) {
-        if (best <= cutoff) {
-            std::size_t wordsRead = 0;
-            const std::size_t d = rowDistBounded(v, row, q, prefix,
-                                                 best, &wordsRead,
-                                                 bfn);
-            if (d == distance::kAbandoned) {
-                if (stats != nullptr) {
-                    ++stats->rowsPruned;
-                    stats->wordsSkipped += rowSpan - wordsRead;
-                }
-                continue;
-            }
-            best = d;
-            winner = row;
-        } else {
-            const std::size_t d = rowDist(v, row, q, prefix, fn);
-            if (d < best) {
-                best = d;
-                winner = row;
-            }
-        }
-    }
-    return {winner, best};
-}
-
-/** Sampled-prefix cascade per-shard argmin. @pre v.rows > 1. */
-ShardBest
-shardNearestCascade(const ShardView &v, const std::uint64_t *q,
-                    std::size_t prefix, const ScanPolicy &policy,
-                    ScanStats *stats,
-                    std::vector<std::size_t> &prefixDist,
-                    distance::HammingFn fn,
-                    distance::BoundedHammingFn bfn)
-{
-    const std::size_t rowSpan = wordsFor(prefix);
-    const std::size_t cascadeWords = wordsFor(policy.cascadePrefix);
-    const std::size_t cutoff = cutoffFor(policy, prefix);
-
-    prefixDist.resize(v.rows);
-    std::size_t best;
-    std::size_t winner;
-    {
-        TRACE_SPAN("packed_rows.cascade");
-        shardDistances(v, q, policy.cascadePrefix, fn,
-                       prefixDist.data());
-        std::size_t cascadeWinner = 0;
-        std::size_t cascadeBest = prefixDist[0];
-        for (std::size_t row = 1; row < v.rows; ++row) {
-            if (prefixDist[row] < cascadeBest) {
-                cascadeBest = prefixDist[row];
-                cascadeWinner = row;
-            }
-        }
-        // Seed one past the cascade winner's exact full distance B.
-        // B >= the shard's true minimum, so the refine scan below
-        // still updates on the first row in index order attaining
-        // the final minimum -- the exhaustive argmin's tie rule. A
-        // row filtered on its prefix distance (a lower bound on its
-        // full distance) could at best tie a row already accepted
-        // earlier in index order, which it would lose anyway.
-        best = rowDist(v, cascadeWinner, q, prefix, fn) + 1;
-        winner = cascadeWinner;
-    }
-
-    TRACE_SPAN("packed_rows.refine");
-    for (std::size_t row = 0; row < v.rows; ++row) {
-        if (prefixDist[row] >= best) {
-            if (stats != nullptr) {
-                ++stats->rowsPruned;
-                stats->wordsSkipped += rowSpan - cascadeWords;
-            }
-            continue;
-        }
-        if (stats != nullptr)
-            ++stats->cascadeSurvivors;
-        if (best <= cutoff) {
-            std::size_t wordsRead = 0;
-            const std::size_t d = rowDistBounded(v, row, q, prefix,
-                                                 best, &wordsRead,
-                                                 bfn);
-            if (d == distance::kAbandoned) {
-                if (stats != nullptr) {
-                    ++stats->rowsPruned;
-                    stats->wordsSkipped += rowSpan - wordsRead;
-                }
-                continue;
-            }
-            best = d;
-            winner = row;
-        } else {
-            const std::size_t d = rowDist(v, row, q, prefix, fn);
-            if (d < best) {
-                best = d;
-                winner = row;
-            }
-        }
-    }
-    return {winner, best};
-}
-
-/**
- * The bound-pruned nearest scan over one shard -- exactly the
- * unsharded PR-5 scan restricted to the shard's row range, so it
- * returns the shard's exhaustive-exact (minimum, lowest local
- * index). Each shard seeds its own bound, so its work (and its
- * ScanStats contributions) never depend on other shards or on which
- * worker runs it.
- */
-ShardBest
-scanShard(const ShardView &v, const std::uint64_t *q,
-          std::size_t prefix, const ScanPolicy &policy,
-          ScanStats *stats, std::vector<std::size_t> &cascadeScratch,
-          distance::HammingFn fn, distance::BoundedHammingFn bfn)
-{
-    if (policy.prune == PruneMode::Off)
-        return shardNearestExhaustive(v, q, prefix, fn);
-    if (policy.cascadePrefix > 0 && policy.cascadePrefix < prefix &&
-        v.rows > 1) {
-        return shardNearestCascade(v, q, prefix, policy, stats,
-                                   cascadeScratch, fn, bfn);
-    }
-    return shardNearestPruned(v, q, prefix, policy, stats, fn, bfn);
-}
-
 /** Worse-first (distance, index) ordering: heap top = k-th best. */
 inline bool
 worseMatch(const RowMatch &a, const RowMatch &b)
@@ -300,138 +137,225 @@ worseMatch(const RowMatch &a, const RowMatch &b)
 }
 
 /**
- * The bound-pruned topK scan over one shard, local indices, results
- * sorted ascending by (distance, index). k is clamped to the shard's
- * row count, so the list always contains the shard's exact top
- * min(k, v.rows) rows -- a superset of the shard's contribution to
- * any global top-k.
+ * k = 1 collector: the running minimum and the row that set it --
+ * no heap, no vector. accept() only ever sees a distance below the
+ * current bound, so the first row in index order attaining the
+ * minimum is the one kept.
  */
-void
-shardTopK(const ShardView &v, const std::uint64_t *q,
-          std::size_t prefix, std::size_t k, const ScanPolicy &policy,
-          ScanStats *stats, std::vector<std::size_t> &prefixDist,
-          std::vector<RowMatch> &out, distance::HammingFn fn,
-          distance::BoundedHammingFn bfn)
+class BestRow
 {
-    out.clear();
-    const std::size_t kk = std::min(k, v.rows);
-    if (kk == 0)
-        return;
-    const std::size_t rowSpan = wordsFor(prefix);
-    const bool prune = policy.prune != PruneMode::Off;
-    const std::size_t cutoff = prune ? cutoffFor(policy, prefix) : 0;
+  public:
+    BestRow(std::vector<RowMatch> &, std::size_t) {}
 
-    // Worse-first heap by (distance, index): the heap top is the
-    // running k-th best, i.e. the pruning bound once the heap fills.
-    // Rows are scanned in ascending index order, so a later row ties
-    // into the heap only with a strictly smaller distance -- the
-    // same lowest-index tie rule as nearest().
-
-    // Optional cascade: the exact full distances of the k best
-    // prefix-stage rows bound the final k-th best distance by their
-    // maximum B, so any row whose prefix (hence full) distance
-    // exceeds B is provably outside the top k. The ceiling B + 1
-    // keeps distance-B rows eligible, preserving ties exactly.
-    std::size_t ceiling = prefix + 1;
-    const bool cascade = prune && policy.cascadePrefix > 0 &&
-                         policy.cascadePrefix < prefix &&
-                         kk < v.rows;
-    const std::size_t cascadeWords =
-        cascade ? wordsFor(policy.cascadePrefix) : 0;
-    if (cascade) {
-        TRACE_SPAN("packed_rows.cascade");
-        prefixDist.resize(v.rows);
-        shardDistances(v, q, policy.cascadePrefix, fn,
-                       prefixDist.data());
-        std::vector<RowMatch> seeds;
-        seeds.reserve(kk);
-        for (std::size_t row = 0; row < v.rows; ++row) {
-            if (seeds.size() < kk) {
-                seeds.push_back({row, prefixDist[row]});
-                std::push_heap(seeds.begin(), seeds.end(),
-                               worseMatch);
-            } else if (prefixDist[row] < seeds.front().distance) {
-                std::pop_heap(seeds.begin(), seeds.end(), worseMatch);
-                seeds.back() = {row, prefixDist[row]};
-                std::push_heap(seeds.begin(), seeds.end(),
-                               worseMatch);
-            }
-        }
-        std::size_t maxSeed = 0;
-        for (const RowMatch &seed : seeds) {
-            maxSeed = std::max(
-                maxSeed, rowDist(v, seed.index, q, prefix, fn));
-        }
-        ceiling = maxSeed + 1;
+    /** Take @p row at distance @p d; returns the new bound. */
+    std::size_t accept(std::size_t row, std::size_t d, std::size_t)
+    {
+        best = {row, d};
+        return d;
     }
 
-    const auto scan = [&] {
-        for (std::size_t row = 0; row < v.rows; ++row) {
-            const std::size_t bound =
-                out.size() < kk
-                    ? ceiling
-                    : std::min(ceiling, out.front().distance);
-            if (cascade && prefixDist[row] >= bound) {
-                if (stats != nullptr) {
-                    ++stats->rowsPruned;
-                    stats->wordsSkipped += rowSpan - cascadeWords;
+    /** The rows collected so far, in no particular order. */
+    std::span<const RowMatch> taken() const { return {&best, 1}; }
+
+    /** Write the result to @p out, ascending by (distance, index). */
+    void finish(std::vector<RowMatch> &out) const
+    {
+        out.clear();
+        out.push_back(best);
+    }
+
+  private:
+    RowMatch best;
+};
+
+/**
+ * k > 1 collector: a worse-first heap of capacity @p kk kept in the
+ * caller's vector. Its top is the running k-th best, so the bound is
+ * the ceiling until the heap fills and the top's distance after.
+ * Rows arrive in ascending index order and enter a full heap only
+ * with a strictly smaller distance -- the same tie rule as k = 1.
+ */
+class TopRows
+{
+  public:
+    TopRows(std::vector<RowMatch> &heap, std::size_t kk)
+        : heap(heap), kk(kk)
+    {
+        heap.clear();
+    }
+
+    /** Take @p row at distance @p d; returns the new bound. */
+    std::size_t accept(std::size_t row, std::size_t d,
+                       std::size_t ceiling)
+    {
+        if (heap.size() < kk) {
+            heap.push_back({row, d});
+            std::push_heap(heap.begin(), heap.end(), worseMatch);
+            return heap.size() < kk ? ceiling : heap.front().distance;
+        }
+        std::pop_heap(heap.begin(), heap.end(), worseMatch);
+        heap.back() = {row, d};
+        std::push_heap(heap.begin(), heap.end(), worseMatch);
+        return heap.front().distance;
+    }
+
+    /** The rows collected so far, in heap order. */
+    std::span<const RowMatch> taken() const { return heap; }
+
+    /** Sort the heap (which is @p out) by ascending (distance, index). */
+    void finish(std::vector<RowMatch> &) const
+    {
+        std::sort_heap(heap.begin(), heap.end(), worseMatch);
+    }
+
+  private:
+    std::vector<RowMatch> &heap;
+    std::size_t kk;
+};
+
+/** What every shard of one scan() shares. */
+struct ShardScan
+{
+    const std::uint64_t *q;
+    std::size_t prefix;
+    /** Rows kept per shard: min(k, rows()). */
+    std::size_t kk;
+    ScanPolicy policy;
+    /** False when the caller takes no counters; the abandon path
+     *  then skips its tally. */
+    bool count;
+    distance::HammingFn fn;
+    distance::BoundedHammingFn bfn;
+};
+
+/**
+ * The row loop of one shard's scan: every row in index order against
+ * a bound that starts at @p ceiling and tightens as @p Top accepts
+ * rows; bounds below @p boundedBelow use the bounded kernel. With
+ * @p Cascade, @p prefixDist holds each row's prefix-stage distance,
+ * and a row whose prefix distance already reaches the bound is
+ * filtered; filtered rows are counted after the loop as the rows
+ * that did not survive. Cascade is a template parameter so the loop
+ * without a cascade carries no per-row branch on it.
+ *
+ * The view, the scan's constants, the bound and the counters are
+ * locals (the bound changes only when a row is accepted), so nothing
+ * the loop reads or updates is reachable from the kernel calls.
+ */
+template <class Top, bool Cascade>
+ScanStats
+refineRows(const ShardView &view, const ShardScan &scan,
+           std::size_t boundedBelow, std::size_t ceiling,
+           const std::size_t *prefixDist, std::size_t cascadeWords,
+           std::vector<RowMatch> &out)
+{
+    const ShardView v = view;
+    const std::uint64_t *q = scan.q;
+    const std::size_t prefix = scan.prefix;
+    const bool count = scan.count;
+    const distance::HammingFn fn = scan.fn;
+    const distance::BoundedHammingFn bfn = scan.bfn;
+    const std::size_t rowSpan = wordsFor(prefix);
+    std::size_t survivors = 0;
+    std::size_t abandoned = 0;
+    std::size_t abandonSkipped = 0;
+    Top top(out, scan.kk);
+    std::size_t bound = ceiling;
+    for (std::size_t row = 0; row < v.rows; ++row) {
+        if (Cascade) {
+            if (prefixDist[row] >= bound)
+                continue;
+            ++survivors;
+        }
+        std::size_t d;
+        if (bound < boundedBelow) {
+            std::size_t wordsRead = 0;
+            d = rowDistBounded(v, row, q, prefix, bound, &wordsRead,
+                               bfn);
+            if (d == distance::kAbandoned) {
+                if (count) {
+                    ++abandoned;
+                    abandonSkipped += rowSpan - wordsRead;
                 }
                 continue;
             }
-            if (cascade && stats != nullptr)
-                ++stats->cascadeSurvivors;
-            std::size_t d;
-            if (prune && bound <= cutoff) {
-                std::size_t wordsRead = 0;
-                d = rowDistBounded(v, row, q, prefix, bound,
-                                   &wordsRead, bfn);
-                if (d == distance::kAbandoned) {
-                    if (stats != nullptr) {
-                        ++stats->rowsPruned;
-                        stats->wordsSkipped += rowSpan - wordsRead;
-                    }
-                    continue;
-                }
-            } else {
-                d = rowDist(v, row, q, prefix, fn);
-                if (d >= bound)
-                    continue;
-            }
-            if (out.size() < kk) {
-                out.push_back({row, d});
-                std::push_heap(out.begin(), out.end(), worseMatch);
-            } else {
-                std::pop_heap(out.begin(), out.end(), worseMatch);
-                out.back() = {row, d};
-                std::push_heap(out.begin(), out.end(), worseMatch);
-            }
+        } else {
+            d = rowDist(v, row, q, prefix, fn);
+            if (d >= bound)
+                continue;
         }
-    };
-    if (cascade) {
-        TRACE_SPAN("packed_rows.refine");
-        scan();
-    } else {
-        scan();
+        bound = top.accept(row, d, ceiling);
     }
-    std::sort_heap(out.begin(), out.end(), worseMatch);
+    top.finish(out);
+    const std::size_t filtered = Cascade ? v.rows - survivors : 0;
+    return {filtered + abandoned,
+            filtered * (rowSpan - cascadeWords) + abandonSkipped,
+            survivors};
 }
 
 /**
- * Bound-aware fold of one shard's sorted top-k list (local indices,
- * first global row @p firstRow) into the global worse-first heap
- * @p merged of capacity @p kk. The heap top is the global running
- * k-th best distance -- the reduce's cut: once the heap is full, a
- * candidate enters only with a strictly smaller distance.
- *
- * Exactness: shards fold in ascending shard order and each shard's
- * list is ascending by (distance, local index), so candidates arrive
- * in ascending global-index order for every distance value -- on an
- * equal-distance tie the incumbent heap entry always has the lower
- * global index, and the strict < keeps it, which is precisely the
- * unsharded scan's tie rule. The early break is sound because the
- * shard list is ascending and the heap top's distance never
- * increases: every remaining candidate in this shard is >= the cut
- * now and forever.
+ * The bound-pruned scan over one shard: its exact top min(kk,
+ * v.rows) rows in local indices, written to @p out ascending by
+ * (distance, index), through the collector @p Top (BestRow for
+ * kk = 1, TopRows otherwise). Returns the shard's pruning counters.
+ * Each shard seeds its own bound, so its work and counters never
+ * depend on other shards or on the worker that runs it.
+ */
+template <class Top>
+ScanStats
+shardTopK(const ShardView &v, const ShardScan &scan,
+          std::vector<std::size_t> &prefixDist,
+          std::vector<RowMatch> &out)
+{
+    const ScanPolicy &policy = scan.policy;
+    const std::size_t prefix = scan.prefix;
+    const bool prune = policy.prune != PruneMode::Off;
+    // Bounds below this use the bounded kernel; 0 when pruning is off.
+    const std::size_t boundedBelow =
+        prune ? cutoffFor(policy, prefix) + 1 : 0;
+    // One past any attainable distance: the first row always gets an
+    // exact count.
+    if (!prune || policy.cascadePrefix == 0 ||
+        policy.cascadePrefix >= prefix || scan.kk >= v.rows) {
+        return refineRows<Top, false>(v, scan, boundedBelow,
+                                      prefix + 1, nullptr, 0, out);
+    }
+
+    // The cascade lowers the ceiling to B + 1, where B is the largest
+    // exact full distance among the kk best prefix-stage rows (see
+    // PackedRows::scan).
+    std::size_t ceiling = 0;
+    {
+        TRACE_SPAN("packed_rows.cascade");
+        prefixDist.resize(v.rows);
+        shardDistances(v, scan.q, policy.cascadePrefix, scan.fn,
+                       prefixDist.data());
+        const std::size_t none = std::numeric_limits<std::size_t>::max();
+        Top seeds(out, scan.kk);
+        std::size_t bound = none;
+        for (std::size_t row = 0; row < v.rows; ++row) {
+            if (prefixDist[row] < bound)
+                bound = seeds.accept(row, prefixDist[row], none);
+        }
+        std::size_t maxSeed = 0;
+        for (const RowMatch &seed : seeds.taken()) {
+            maxSeed = std::max(
+                maxSeed, rowDist(v, seed.index, scan.q, prefix, scan.fn));
+        }
+        ceiling = maxSeed + 1;
+    }
+    TRACE_SPAN("packed_rows.refine");
+    return refineRows<Top, true>(v, scan, boundedBelow, ceiling,
+                                 prefixDist.data(),
+                                 wordsFor(policy.cascadePrefix), out);
+}
+
+/**
+ * Fold one shard's sorted list (local indices, first global row
+ * @p firstRow) into the global worse-first heap @p merged of
+ * capacity @p kk. Once the heap is full a candidate enters only with
+ * a strictly smaller distance than its top; the early break is sound
+ * because the list is ascending and the top never grows.
  */
 void
 foldShardTopK(std::vector<RowMatch> &merged,
@@ -600,217 +524,65 @@ PackedRows::stagePrefixDistances(
     }
 }
 
-std::size_t
-PackedRows::nearest(const Hypervector &query, std::size_t prefix,
-                    std::size_t *bestDistance) const
-{
-    return nearest(query, prefix, ScanPolicy{}, nullptr, nullptr,
-                   bestDistance);
-}
-
-std::size_t
-PackedRows::nearest(const Hypervector &query, std::size_t prefix,
-                    const ScanPolicy &policy, ScanStats *stats,
-                    std::vector<std::size_t> *cascadeScratch,
-                    std::size_t *bestDistance) const
-{
-    if (rows() == 0)
-        throw std::logic_error("PackedRows::nearest: empty store");
-    assert(query.dim() == dim());
-    assert(prefix <= dim());
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    std::vector<std::size_t> local;
-    std::vector<std::size_t> &scratch =
-        cascadeScratch != nullptr ? *cascadeScratch : local;
-
-    // Bound-aware reduce over shards in ascending row order: each
-    // shard reports its exhaustive-exact (minimum, lowest local
-    // index), and the strict < keeps the earliest shard -- hence the
-    // globally lowest index -- on a distance tie.
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    std::size_t winner = 0;
-    for (std::size_t s = 0; s < store.shardCount(); ++s) {
-        const ShardView v = store.view(s);
-        if (v.rows == 0)
-            continue;
-        const ShardBest sb = scanShard(v, q, prefix, policy, stats,
-                                       scratch, fn, bfn);
-        if (sb.distance < best) {
-            best = sb.distance;
-            winner = v.firstRow + sb.local;
-        }
-    }
-    if (bestDistance != nullptr)
-        *bestDistance = best;
-    return winner;
-}
-
-std::size_t
-PackedRows::nearestSharded(const Hypervector &query,
-                           std::size_t prefix,
-                           const ScanPolicy &policy,
-                           std::size_t threads, ScanStats *stats,
-                           std::size_t *bestDistance) const
-{
-    if (rows() == 0)
-        throw std::logic_error("PackedRows::nearestSharded: empty "
-                               "store");
-    assert(query.dim() == dim());
-    assert(prefix <= dim());
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    const std::size_t n = store.shardCount();
-    std::vector<ShardBest> results(n);
-    std::vector<ScanStats> shardStats(stats != nullptr ? n : 0);
-    parallelForShards(n, threads, [&](std::size_t s) {
-        TRACE_SPAN("packed_rows.shard_scan");
-        const ShardView v = store.view(s);
-        if (v.rows == 0)
-            return;
-        std::vector<std::size_t> scratch;
-        results[s] =
-            scanShard(v, q, prefix, policy,
-                      stats != nullptr ? &shardStats[s] : nullptr,
-                      scratch, fn, bfn);
-    });
-    // Reduce and merge stats in ascending shard order on the caller:
-    // results and counters are independent of the worker assignment.
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    std::size_t winner = 0;
-    for (std::size_t s = 0; s < n; ++s) {
-        if (results[s].distance < best) {
-            best = results[s].distance;
-            winner = store.view(s).firstRow + results[s].local;
-        }
-    }
-    if (stats != nullptr) {
-        for (const ScanStats &shard : shardStats)
-            *stats += shard;
-    }
-    if (bestDistance != nullptr)
-        *bestDistance = best;
-    return winner;
-}
-
-std::size_t
-PackedRows::nearestTraced(const Hypervector &query,
-                          std::size_t prefix,
-                          std::vector<std::size_t> &scratch,
-                          const char *popcountSpan,
-                          const char *compareSpan,
-                          std::size_t *bestDistance) const
-{
-    if (rows() == 0)
-        throw std::logic_error("PackedRows::nearestTraced: empty "
-                               "store");
-    assert(query.dim() == dim());
-    assert(prefix <= dim());
-    {
-        TRACE_SPAN(popcountSpan);
-        distances(query, prefix, scratch);
-    }
-    TRACE_SPAN(compareSpan);
-    std::size_t winner = 0;
-    std::size_t best = scratch[0];
-    for (std::size_t id = 1; id < scratch.size(); ++id) {
-        if (scratch[id] < best) {
-            best = scratch[id];
-            winner = id;
-        }
-    }
-    if (bestDistance != nullptr)
-        *bestDistance = best;
-    return winner;
-}
-
 void
-PackedRows::topK(const Hypervector &query, std::size_t prefix,
-                 std::size_t k, const ScanPolicy &policy,
-                 ScanStats *stats, std::vector<RowMatch> &out) const
+PackedRows::scan(const Hypervector &query, const ScanRequest &req,
+                 ScanStats *stats, std::vector<RowMatch> &out,
+                 std::vector<std::size_t> *cascadeScratch) const
 {
     out.clear();
     if (rows() == 0)
-        throw std::logic_error("PackedRows::topK: empty store");
+        throw std::logic_error("PackedRows::scan: empty store");
     assert(query.dim() == dim());
-    assert(prefix <= dim());
-    if (k == 0)
+    assert(req.prefix <= dim());
+    if (req.k == 0)
         return;
-    const std::size_t kk = std::min(k, rows());
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    std::vector<std::size_t> prefixDist;
+    const std::size_t kk = std::min(req.k, rows());
+    const ShardScan shared{query.data(), req.prefix, kk, req.policy,
+                           stats != nullptr, distance::active(),
+                           distance::activeBounded()};
+    const auto scanShard = [&](const ShardView &v,
+                               std::vector<std::size_t> &prefixDist,
+                               std::vector<RowMatch> &shardOut) {
+        return kk == 1
+                   ? shardTopK<BestRow>(v, shared, prefixDist, shardOut)
+                   : shardTopK<TopRows>(v, shared, prefixDist, shardOut);
+    };
+    std::vector<std::size_t> ownScratch;
+    std::vector<std::size_t> &scratch =
+        cascadeScratch != nullptr ? *cascadeScratch : ownScratch;
+
+    ScanStats total;
     const std::size_t n = store.shardCount();
     if (n == 1) {
-        // Single shard: local indices are global; shardTopK already
-        // sorts ascending by (distance, index).
-        shardTopK(store.view(0), q, prefix, kk, policy, stats,
-                  prefixDist, out, fn, bfn);
-        return;
+        // Local indices are global and already sorted.
+        total = scanShard(store.view(0), scratch, out);
+    } else {
+        const bool fanOut = resolveThreads(req.threads) > 1;
+        std::vector<std::vector<RowMatch>> shardOuts(n);
+        std::vector<ScanStats> shardStats(n);
+        parallelForShards(n, fanOut ? req.threads : 1,
+                          [&](std::size_t s) {
+            std::optional<trace::Span> span;
+            if (fanOut)
+                span.emplace("packed_rows.shard_scan");
+            const ShardView v = store.view(s);
+            if (v.rows == 0)
+                return;
+            std::vector<std::size_t> workerScratch;
+            shardStats[s] = scanShard(
+                v, fanOut ? workerScratch : scratch, shardOuts[s]);
+        });
+        // Fold lists and counters in ascending shard order on the
+        // caller, so both are independent of the worker assignment.
+        for (std::size_t s = 0; s < n; ++s) {
+            foldShardTopK(out, shardOuts[s], store.view(s).firstRow,
+                          kk);
+            total += shardStats[s];
+        }
+        std::sort_heap(out.begin(), out.end(), worseMatch);
     }
-    std::vector<RowMatch> shardOut;
-    std::vector<RowMatch> merged;
-    merged.reserve(kk);
-    for (std::size_t s = 0; s < n; ++s) {
-        const ShardView v = store.view(s);
-        if (v.rows == 0)
-            continue;
-        shardTopK(v, q, prefix, kk, policy, stats, prefixDist,
-                  shardOut, fn, bfn);
-        foldShardTopK(merged, shardOut, v.firstRow, kk);
-    }
-    std::sort_heap(merged.begin(), merged.end(), worseMatch);
-    out = std::move(merged);
-}
-
-void
-PackedRows::topKSharded(const Hypervector &query, std::size_t prefix,
-                        std::size_t k, const ScanPolicy &policy,
-                        std::size_t threads, ScanStats *stats,
-                        std::vector<RowMatch> &out) const
-{
-    out.clear();
-    if (rows() == 0)
-        throw std::logic_error("PackedRows::topKSharded: empty "
-                               "store");
-    assert(query.dim() == dim());
-    assert(prefix <= dim());
-    if (k == 0)
-        return;
-    const std::size_t kk = std::min(k, rows());
-    const std::uint64_t *q = query.data();
-    const distance::HammingFn fn = distance::active();
-    const distance::BoundedHammingFn bfn = distance::activeBounded();
-    const std::size_t n = store.shardCount();
-    std::vector<std::vector<RowMatch>> shardOuts(n);
-    std::vector<ScanStats> shardStats(stats != nullptr ? n : 0);
-    parallelForShards(n, threads, [&](std::size_t s) {
-        TRACE_SPAN("packed_rows.shard_scan");
-        const ShardView v = store.view(s);
-        if (v.rows == 0)
-            return;
-        std::vector<std::size_t> prefixDist;
-        shardTopK(v, q, prefix, kk, policy,
-                  stats != nullptr ? &shardStats[s] : nullptr,
-                  prefixDist, shardOuts[s], fn, bfn);
-    });
-    // Fold shard lists and stats in ascending shard order on the
-    // caller: results and counters are independent of the worker
-    // assignment.
-    std::vector<RowMatch> merged;
-    merged.reserve(kk);
-    for (std::size_t s = 0; s < n; ++s)
-        foldShardTopK(merged, shardOuts[s], store.view(s).firstRow,
-                      kk);
-    if (stats != nullptr) {
-        for (const ScanStats &shard : shardStats)
-            *stats += shard;
-    }
-    std::sort_heap(merged.begin(), merged.end(), worseMatch);
-    out = std::move(merged);
+    if (stats != nullptr)
+        *stats += total;
 }
 
 } // namespace hdham

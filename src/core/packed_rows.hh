@@ -4,11 +4,11 @@
  * row store.
  *
  * An associative search touches every stored row once per query.
- * PackedRows owns the scan algorithms -- prefix distances for
- * structured sampling, lowest-index tie-breaking like the comparator
- * tree, bound-pruned nearest/topK -- on top of a RowStore
- * (core/row_store.hh) that owns the physical words in one of two
- * layouts:
+ * PackedRows owns that scan -- one entry point, scan(), returning the
+ * k nearest rows (k = 1 is the nearest-row search of D-HAM's
+ * comparator tree) with ties resolved to the lowest index -- plus the
+ * plain distance helpers, on top of a RowStore (core/row_store.hh)
+ * that owns the physical words in one of two layouts:
  *
  *  - row-major (the default): each row is one contiguous record, the
  *    software analogue of the hardware CAM array's dense layout.
@@ -17,39 +17,24 @@
  *    sequential memory instead of striding row-sized records -- the
  *    layout that keeps the cascade fast at C >= 100k rows.
  *
- * Rows may additionally be partitioned into contiguous shards. Every
- * scan runs the same bound-pruned algorithm independently per shard
- * (each shard seeds its own bound, so per-shard work is independent
- * of execution order) and merges shard winners with a bound-aware
- * reduce in ascending shard order. Because shard s always covers
- * lower row indices than shard s + 1 and the reduce only replaces on
- * a strictly smaller distance, the merged result preserves the
- * global lowest-index tie rule -- nearest() and topK() are provably
- * bit-identical to the unsharded exhaustive scan for every layout,
- * shard count and (for the *Sharded entry points) thread count.
+ * Rows may be partitioned into contiguous shards. scan() runs one
+ * bound-pruned loop per shard and folds the shard results in
+ * ascending shard order. Pruning lets a shard reject rows without
+ * reading all of their words, by two exact mechanisms:
  *
- * Bound-pruned scans: nearest() and topK() accept a ScanPolicy that
- * lets the scan reject rows without reading all of their words.
- * Two mechanisms compose, both exact:
- *
- *  - Early abandonment: once a best-so-far (or k-th best) bound
- *    exists, each row's distance runs through the bounded kernel
- *    (distance::hammingBounded), which stops as soon as the running
- *    popcount reaches the bound. Hamming counts only grow along the
- *    row, so an abandoned row provably cannot beat the bound.
+ *  - Early abandonment: once a bound exists (the best distance so
+ *    far, or the k-th best), each row's distance runs through the
+ *    bounded kernel (distance::hammingBounded), which stops as soon
+ *    as the running popcount reaches the bound.
  *  - Sampled-prefix cascade (ScanPolicy::cascadePrefix > 0): first
  *    score every row on its leading cascadePrefix components -- the
  *    paper's structured-sampling prefix -- then seed the bound from
- *    the cascade winner's exact full distance and refine only the
- *    rows whose prefix distance beats the running bound. A prefix
- *    distance lower-bounds the full distance, so a filtered row
- *    provably cannot win.
+ *    exact full distances and refine only the rows whose prefix
+ *    distance beats the running bound.
  *
- * Both paths preserve the exhaustive scan's result bit for bit:
- * winner index, winner distance, and the lowest-index tie rule (see
- * the notes on nearest() below for the tie argument). Pruning only
- * changes how much work the scan does, which the ScanStats counters
- * expose (rows_pruned / words_skipped / cascade_survivors in the
+ * Neither changes an answer (see scan() for why); they only change
+ * how much work the scan does, which the ScanStats counters expose
+ * (rows_pruned / words_skipped / cascade_survivors in the
  * hdham.metrics.v1 snapshot).
  */
 
@@ -93,7 +78,7 @@ const char *pruneModeName(PruneMode mode);
  */
 bool parsePruneMode(const std::string &name, PruneMode *out);
 
-/** How nearest()/topK() may skip row words. */
+/** How scan() may skip row words. */
 struct ScanPolicy
 {
     PruneMode prune = PruneMode::Auto;
@@ -136,11 +121,26 @@ struct ScanStats
     }
 };
 
-/** One ranked row of a topK() scan. */
+/** One ranked row of a scan() result. */
 struct RowMatch
 {
     std::size_t index = 0;
     std::size_t distance = 0;
+};
+
+/** What one scan() computes, and on how many workers. */
+struct ScanRequest
+{
+    /** Components compared: dim() for a full scan, fewer for
+     *  structured sampling. */
+    std::size_t prefix = 0;
+    /** Rows returned; 1 is the nearest-row search. */
+    std::size_t k = 1;
+    /** How the scan may skip row words. */
+    ScanPolicy policy{};
+    /** Workers for the per-shard scans of a sharded store: 1 scans
+     *  inline on the caller, 0 means all hardware threads. */
+    std::size_t threads = 1;
 };
 
 /**
@@ -257,110 +257,49 @@ class PackedRows
                               std::vector<std::size_t> &out) const;
 
     /**
-     * Index of the row with the minimum distance to @p query over
-     * the first @p prefix components; ties resolve to the lowest
-     * index. Scans under the default ScanPolicy (Auto pruning, no
-     * cascade). @pre rows() > 0.
-     */
-    std::size_t nearest(const Hypervector &query,
-                        std::size_t prefix,
-                        std::size_t *bestDistance = nullptr) const;
-
-    /**
-     * nearest() under an explicit ScanPolicy, accumulating pruning
-     * counters into @p stats (may be null). Runs the bound-pruned
-     * scan independently over every shard (in ascending shard order
-     * on the calling thread) and merges shard winners.
-     *
-     * Exactness: the winner, its distance and the lowest-index tie
-     * rule match the exhaustive scan bit for bit. The early-abandon
-     * path preserves them because the bounded kernel is bound-exact
-     * (it returns the true distance whenever it is strictly below
-     * the bound) and the bound is only ever a previously seen exact
-     * distance, so the scan still selects the first row in index
-     * order that attains the final minimum. The cascade preserves
-     * them because the bound is seeded at B + 1 (B = the cascade
-     * winner's exact full distance >= the true minimum): a row is
-     * filtered only when its prefix distance -- a lower bound on its
-     * full distance -- already reaches the running bound, which
-     * means it could at best tie a row that appears earlier in index
-     * order and would lose that tie anyway. The shard merge
-     * preserves them because every shard reports its exhaustive-
-     * exact (minimum, lowest index) and shards are folded in
-     * ascending index order with a strictly-smaller-distance update.
-     *
-     * @p cascadeScratch, when non-null, is reused for the cascade's
-     * per-row prefix distances so batched callers avoid a per-query
-     * allocation (ignored when the cascade is disabled).
-     */
-    std::size_t nearest(const Hypervector &query, std::size_t prefix,
-                        const ScanPolicy &policy, ScanStats *stats,
-                        std::vector<std::size_t> *cascadeScratch,
-                        std::size_t *bestDistance = nullptr) const;
-
-    /**
-     * nearest() with the per-shard scans parallelized over
-     * @p threads workers (0 = all hardware threads) via the
-     * sharded-range mode of core/parallel_for; each shard scan runs
-     * under a "packed_rows.shard_scan" trace span. Because every
-     * shard seeds its own bound, per-shard work (and therefore every
-     * ScanStats counter) is independent of the worker assignment:
-     * results AND merged counters are bit-identical to the
-     * single-threaded scan at any thread count. @pre rows() > 0.
-     */
-    std::size_t nearestSharded(const Hypervector &query,
-                               std::size_t prefix,
-                               const ScanPolicy &policy,
-                               std::size_t threads,
-                               ScanStats *stats,
-                               std::size_t *bestDistance =
-                                   nullptr) const;
-
-    /**
-     * Traced equivalent of nearest(), split into the two phases the
-     * digital hardware pipelines separately -- the XOR+popcount pass
-     * over every row (span @p popcountSpan), then the comparator-tree
-     * argmin (span @p compareSpan). The split pass is exhaustive by
-     * design: its spans measure the full array scan the hardware
-     * performs, so it never prunes; results remain bit-identical to
-     * every other path. @p scratch avoids a per-query allocation.
-     * @pre rows() > 0.
-     */
-    std::size_t nearestTraced(const Hypervector &query,
-                              std::size_t prefix,
-                              std::vector<std::size_t> &scratch,
-                              const char *popcountSpan,
-                              const char *compareSpan,
-                              std::size_t *bestDistance = nullptr) const;
-
-    /**
-     * The @p k rows nearest to @p query over the first @p prefix
+     * The req.k rows nearest to @p query over the first req.prefix
      * components, written to @p out sorted by ascending (distance,
-     * index) -- the same tie rule as nearest(). Returns all rows
-     * when k >= rows(). Each shard maintains its own k-th-best
-     * distance as the pruning bound (with a cascade, pre-seeded from
-     * the exact distances of the shard's k best prefix-stage rows,
-     * which can only be >= the shard's final k-th best, so no true
-     * top-k row is ever filtered); shard result lists are then
-     * folded in ascending shard order through a bound-aware reduce
-     * that keeps the global k-th-best distance as its cut -- any
-     * global top-k row is in its shard's top-k, so the fold is
-     * exact. @pre rows() > 0.
+     * index); all rows when k >= rows(), none when k = 0. Pruning
+     * counters accumulate into @p stats (may be null).
+     * @p cascadeScratch, when non-null, holds the cascade's per-row
+     * prefix distances so a batched caller avoids a per-query
+     * allocation; an inline scan reuses it, a fanned-out one does
+     * not. @throws std::logic_error when rows() == 0.
+     *
+     * Each shard runs one bound-pruned loop that keeps its exact top
+     * min(k, shard rows) and seeds its own bound. With one shard, or
+     * when req.threads resolves to one worker, the shards run inline
+     * in ascending order; otherwise they fan out over
+     * parallelForShards, each under a "packed_rows.shard_scan" trace
+     * span. Either way the shard lists and counters are folded on
+     * the caller in ascending shard order, so answers and every
+     * counter are identical at any thread count.
+     *
+     * Exactness: the answer is the exhaustive scan's, bit for bit,
+     * including the lowest-index tie rule, because
+     *  - abandon: the bound is either a ceiling (one past any
+     *    attainable distance, or B + 1 below) or the exact distance
+     *    of an accepted row, and the bounded kernel returns the true
+     *    distance whenever it is below the bound. Rows arrive in
+     *    index order and enter only with a strictly smaller
+     *    distance, so an abandoned row could at best have tied a
+     *    lower-indexed row, and lost.
+     *  - cascade seed at B + 1: B, the largest exact full distance
+     *    among the shard's k best prefix-stage rows, is >= the
+     *    shard's final k-th best. A prefix distance lower-bounds the
+     *    full distance, so a row filtered because its prefix
+     *    distance reaches the bound could at best tie, and lose.
+     *    Seeding at B + 1 rather than B keeps distance-B rows
+     *    eligible.
+     *  - shard fold: every global top-k row is in its shard's top k.
+     *    Shard s covers lower indices than shard s + 1 and each list
+     *    is ascending, so candidates of equal distance arrive in
+     *    ascending global index, and the fold admits a candidate to
+     *    a full heap only with a strictly smaller distance.
      */
-    void topK(const Hypervector &query, std::size_t prefix,
-              std::size_t k, const ScanPolicy &policy,
-              ScanStats *stats, std::vector<RowMatch> &out) const;
-
-    /**
-     * topK() with the per-shard scans parallelized over @p threads
-     * workers (0 = all hardware threads); same bit-identical
-     * results-and-counters contract as nearestSharded().
-     * @pre rows() > 0.
-     */
-    void topKSharded(const Hypervector &query, std::size_t prefix,
-                     std::size_t k, const ScanPolicy &policy,
-                     std::size_t threads, ScanStats *stats,
-                     std::vector<RowMatch> &out) const;
+    void scan(const Hypervector &query, const ScanRequest &req,
+              ScanStats *stats, std::vector<RowMatch> &out,
+              std::vector<std::size_t> *cascadeScratch = nullptr) const;
 
   private:
     /** Sharded, layout-aware owner of the packed words. */

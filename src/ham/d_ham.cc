@@ -10,6 +10,52 @@
 namespace hdham::ham
 {
 
+namespace
+{
+
+/**
+ * The traced search, split into the two phases the digital hardware
+ * pipelines separately: the XOR+popcount pass over every row, then
+ * the comparator-tree argmin (lowest index on ties). Exhaustive by
+ * design -- its spans measure the full array scan the hardware
+ * performs -- and bit-identical to PackedRows::scan with k = 1.
+ */
+HamResult
+tracedSearch(const PackedRows &rows, const Hypervector &query,
+             std::size_t prefix, std::vector<std::size_t> &dists)
+{
+    {
+        TRACE_SPAN("d_ham.popcount");
+        rows.distances(query, prefix, dists);
+    }
+    TRACE_SPAN("d_ham.compare");
+    HamResult result;
+    result.reportedDistance = dists[0];
+    for (std::size_t id = 1; id < dists.size(); ++id) {
+        if (dists[id] < result.reportedDistance) {
+            result.reportedDistance = dists[id];
+            result.classId = id;
+        }
+    }
+    return result;
+}
+
+/** The k = 1 scan of @p req, as a HamResult. */
+HamResult
+nearestOf(const PackedRows &rows, const Hypervector &query,
+          const ScanRequest &req, ScanStats *stats,
+          std::vector<RowMatch> &best,
+          std::vector<std::size_t> *cascadeScratch = nullptr)
+{
+    rows.scan(query, req, stats, best, cascadeScratch);
+    HamResult result;
+    result.classId = best[0].index;
+    result.reportedDistance = best[0].distance;
+    return result;
+}
+
+} // namespace
+
 DHam::DHam(const DHamConfig &config)
     : cfg(config), rows(config.dim == 0 ? 1 : config.dim)
 {
@@ -36,20 +82,19 @@ DHam::search(const Hypervector &query)
     assert(query.dim() == cfg.dim);
 
     // The comparator tree resolves ties toward the lower row index,
-    // which is exactly PackedRows::nearest's tie rule.
+    // which is exactly PackedRows::scan's tie rule.
     TRACE_SPAN("d_ham.search");
     HamResult result;
     ScanStats stats;
     if (trace::enabled()) {
-        std::vector<std::size_t> scratch;
-        result.classId = rows.nearestTraced(
-            query, cfg.effectiveDim(), scratch, "d_ham.popcount",
-            "d_ham.compare", &result.reportedDistance);
+        std::vector<std::size_t> dists;
+        result = tracedSearch(rows, query, cfg.effectiveDim(), dists);
     } else {
-        result.classId =
-            rows.nearest(query, cfg.effectiveDim(), policy,
-                         sink ? &stats : nullptr, nullptr,
-                         &result.reportedDistance);
+        // Reused across calls: a per-query allocation would cost
+        // more than scanning a small memory.
+        thread_local std::vector<RowMatch> best;
+        result = nearestOf(rows, query, {cfg.effectiveDim(), 1, policy},
+                           sink ? &stats : nullptr, best);
     }
     if (sink) {
         sink->queries.add(1);
@@ -71,11 +116,13 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
 
     /** Per-chunk state: the traced path reuses one scratch vector
      *  for its split popcount/compare phases; the fused path reuses
-     *  it for the cascade's prefix distances and tallies pruning. */
+     *  it for the cascade's prefix distances, reuses one result
+     *  vector and tallies pruning. */
     struct Chunk
     {
         bool traced;
         ScanStats stats;
+        std::vector<RowMatch> best;
         std::vector<std::size_t> scratch;
     };
     const auto mergeChunk = [&](const Chunk &chunk, std::size_t begin,
@@ -98,37 +145,28 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
         queries.size() < resolveThreads(threads)) {
         return batch::runPerQuery<HamResult>(
             {"d_ham.batch", "d_ham.chunk"}, queries.size(), sink,
-            [] { return Chunk{false, {}, {}}; },
+            [] { return Chunk{false, {}, {}, {}}; },
             [&](std::size_t q, Chunk &chunk) {
                 assert(queries[q].dim() == cfg.dim);
-                HamResult result;
-                result.classId = rows.nearestSharded(
-                    queries[q], prefix, policy, threads,
-                    sink ? &chunk.stats : nullptr,
-                    &result.reportedDistance);
-                return result;
+                return nearestOf(rows, queries[q],
+                                 {prefix, 1, policy, threads},
+                                 sink ? &chunk.stats : nullptr,
+                                 chunk.best, &chunk.scratch);
             },
             mergeChunk);
     }
 
     return batch::run<HamResult>(
         {"d_ham.batch", "d_ham.chunk"}, queries.size(), threads,
-        sink, [] { return Chunk{trace::enabled(), {}, {}}; },
+        sink, [] { return Chunk{trace::enabled(), {}, {}, {}}; },
         [&](std::size_t q, Chunk &chunk) {
             assert(queries[q].dim() == cfg.dim);
-            HamResult result;
-            if (chunk.traced) {
-                result.classId = rows.nearestTraced(
-                    queries[q], prefix, chunk.scratch,
-                    "d_ham.popcount", "d_ham.compare",
-                    &result.reportedDistance);
-            } else {
-                result.classId = rows.nearest(
-                    queries[q], prefix, policy,
-                    sink ? &chunk.stats : nullptr, &chunk.scratch,
-                    &result.reportedDistance);
-            }
-            return result;
+            if (chunk.traced)
+                return tracedSearch(rows, queries[q], prefix,
+                                    chunk.scratch);
+            return nearestOf(rows, queries[q], {prefix, 1, policy},
+                             sink ? &chunk.stats : nullptr, chunk.best,
+                             &chunk.scratch);
         },
         mergeChunk);
 }

@@ -35,7 +35,7 @@
  * row's sensed distances -- the results would no longer be
  * bit-identical to the hardware-faithful exhaustive scan. Pruning
  * here lives only in the software oracle and D-HAM (see
- * PackedRows::nearest), whose distance computations are exact and
+ * PackedRows::scan), whose distance computations are exact and
  * deterministic.
  */
 

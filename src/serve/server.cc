@@ -199,6 +199,25 @@ Server::acceptLoop()
             break;
         }
         std::lock_guard<std::mutex> lock(connMu);
+        // Reap the connections that have finished (their fd slot is
+        // already -1): an unjoined thread keeps its stack mapped, so
+        // without this the server grows with every connection.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < connFds.size(); ++i) {
+            if (connFds[i] < 0) {
+                connThreads[i].join();
+                continue;
+            }
+            // Never self-move: assigning to a joinable std::thread
+            // terminates the process.
+            if (kept != i) {
+                connFds[kept] = connFds[i];
+                connThreads[kept] = std::move(connThreads[i]);
+            }
+            ++kept;
+        }
+        connFds.resize(kept);
+        connThreads.resize(kept);
         connFds.push_back(fd);
         connThreads.emplace_back(
             [this, fd] { serveConnection(fd); });

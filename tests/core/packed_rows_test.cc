@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/assoc_memory.hh"
 #include "core/packed_rows.hh"
 #include "core/random.hh"
@@ -16,6 +18,7 @@ using hdham::AssociativeMemory;
 using hdham::Hypervector;
 using hdham::PackedRows;
 using hdham::Rng;
+using hdham::RowMatch;
 
 TEST(PackedRowsTest, RejectsZeroDimension)
 {
@@ -100,11 +103,12 @@ TEST(PackedRowsTest, NearestAgreesWithAssociativeMemory)
     }
     for (int q = 0; q < 50; ++q) {
         const Hypervector query = Hypervector::random(dim, rng);
-        std::size_t best = 0;
-        const std::size_t winner = rows.nearest(query, dim, &best);
+        std::vector<RowMatch> best;
+        rows.scan(query, {dim}, nullptr, best);
         const auto expect = oracle.search(query);
-        EXPECT_EQ(winner, expect.classId);
-        EXPECT_EQ(best, expect.bestDistance);
+        ASSERT_EQ(best.size(), 1u);
+        EXPECT_EQ(best[0].index, expect.classId);
+        EXPECT_EQ(best[0].distance, expect.bestDistance);
     }
 }
 
@@ -112,8 +116,10 @@ TEST(PackedRowsTest, NearestOnEmptyThrows)
 {
     PackedRows rows(64);
     Rng rng(7);
-    EXPECT_THROW(rows.nearest(Hypervector::random(64, rng), 64),
-                 std::logic_error);
+    std::vector<RowMatch> best;
+    EXPECT_THROW(
+        rows.scan(Hypervector::random(64, rng), {64}, nullptr, best),
+        std::logic_error);
 }
 
 TEST(PackedRowsTest, TiesResolveToLowestIndex)
@@ -121,7 +127,9 @@ TEST(PackedRowsTest, TiesResolveToLowestIndex)
     PackedRows rows(8);
     rows.append(Hypervector::fromString("00000001"));
     rows.append(Hypervector::fromString("00000010"));
-    EXPECT_EQ(rows.nearest(Hypervector(8), 8), 0u);
+    std::vector<RowMatch> best;
+    rows.scan(Hypervector(8), {8}, nullptr, best);
+    EXPECT_EQ(best.at(0).index, 0u);
 }
 
 } // namespace

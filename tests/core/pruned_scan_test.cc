@@ -117,16 +117,23 @@ struct Workload
     }
 };
 
+/** The k = 1 scan: winner and distance under @p policy. */
+RowMatch
+nearest(const PackedRows &rows, const Hypervector &query,
+        std::size_t prefix, const ScanPolicy &policy,
+        ScanStats *stats = nullptr)
+{
+    std::vector<RowMatch> out;
+    rows.scan(query, {prefix, 1, policy}, stats, out);
+    return out.at(0);
+}
+
 /** Exhaustive oracle: winner and distance with pruning off. */
 RowMatch
 exhaustiveNearest(const PackedRows &rows, const Hypervector &query,
                   std::size_t prefix)
 {
-    RowMatch m;
-    m.index = rows.nearest(query, prefix,
-                           ScanPolicy{PruneMode::Off, 0}, nullptr,
-                           nullptr, &m.distance);
-    return m;
+    return nearest(rows, query, prefix, ScanPolicy{PruneMode::Off, 0});
 }
 
 TEST(PrunedScanTest, MatchesExhaustiveAcrossKernelsAndPolicies)
@@ -142,13 +149,12 @@ TEST(PrunedScanTest, MatchesExhaustiveAcrossKernelsAndPolicies)
                 for (const ScanPolicy &policy :
                      prunedPolicies(dim)) {
                     ScanStats stats;
-                    std::size_t got = 0;
-                    const std::size_t winner = w.rows.nearest(
-                        query, dim, policy, &stats, nullptr, &got);
-                    EXPECT_EQ(winner, want.index)
+                    const RowMatch got =
+                        nearest(w.rows, query, dim, policy, &stats);
+                    EXPECT_EQ(got.index, want.index)
                         << "dim " << dim << " kernel " << kernel
                         << " cascade " << policy.cascadePrefix;
-                    EXPECT_EQ(got, want.distance)
+                    EXPECT_EQ(got.distance, want.distance)
                         << "dim " << dim << " kernel " << kernel
                         << " cascade " << policy.cascadePrefix;
                 }
@@ -172,13 +178,11 @@ TEST(PrunedScanTest, RaggedPrefixMatchesExhaustive)
                     exhaustiveNearest(w.rows, query, prefix);
                 for (const ScanPolicy &policy :
                      prunedPolicies(prefix)) {
-                    std::size_t got = 0;
-                    const std::size_t winner = w.rows.nearest(
-                        query, prefix, policy, nullptr, nullptr,
-                        &got);
-                    EXPECT_EQ(winner, want.index)
+                    const RowMatch got =
+                        nearest(w.rows, query, prefix, policy);
+                    EXPECT_EQ(got.index, want.index)
                         << "prefix " << prefix;
-                    EXPECT_EQ(got, want.distance)
+                    EXPECT_EQ(got.distance, want.distance)
                         << "prefix " << prefix;
                 }
             }
@@ -203,11 +207,9 @@ TEST(PrunedScanTest, AllRowsIdenticalPicksRowZero)
         const RowMatch want = exhaustiveNearest(rows, query, dim);
         EXPECT_EQ(want.index, 0u);
         for (const ScanPolicy &policy : prunedPolicies(dim)) {
-            std::size_t got = 0;
-            EXPECT_EQ(rows.nearest(query, dim, policy, nullptr,
-                                   nullptr, &got),
-                      0u);
-            EXPECT_EQ(got, want.distance);
+            const RowMatch got = nearest(rows, query, dim, policy);
+            EXPECT_EQ(got.index, 0u);
+            EXPECT_EQ(got.distance, want.distance);
         }
     }
 }
@@ -239,7 +241,7 @@ TEST(PrunedScanTest, TopKMatchesSortOracle)
                 for (const ScanPolicy &policy :
                      prunedPolicies(dim)) {
                     std::vector<RowMatch> got;
-                    w.rows.topK(query, dim, k, policy, nullptr,
+                    w.rows.scan(query, {dim, k, policy}, nullptr,
                                 got);
                     ASSERT_EQ(got.size(), kk);
                     for (std::size_t i = 0; i < kk; ++i) {
@@ -269,22 +271,20 @@ TEST(PrunedScanTest, StatsCountPrunedRowsOnSkewedWorkload)
         rows.append(Hypervector::random(dim, rng));
 
     ScanStats on;
-    rows.nearest(proto, dim, ScanPolicy{PruneMode::On, 0}, &on,
-                 nullptr);
+    nearest(rows, proto, dim, ScanPolicy{PruneMode::On, 0}, &on);
     EXPECT_EQ(on.rowsPruned, rows.rows() - 1);
     EXPECT_GT(on.wordsSkipped, 0u);
     EXPECT_EQ(on.cascadeSurvivors, 0u);
 
     ScanStats off;
-    rows.nearest(proto, dim, ScanPolicy{PruneMode::Off, 0}, &off,
-                 nullptr);
+    nearest(rows, proto, dim, ScanPolicy{PruneMode::Off, 0}, &off);
     EXPECT_EQ(off.rowsPruned, 0u);
     EXPECT_EQ(off.wordsSkipped, 0u);
     EXPECT_EQ(off.cascadeSurvivors, 0u);
 
     ScanStats cascade;
-    rows.nearest(proto, dim, ScanPolicy{PruneMode::Auto, 512},
-                 &cascade, nullptr);
+    nearest(rows, proto, dim, ScanPolicy{PruneMode::Auto, 512},
+            &cascade);
     EXPECT_EQ(cascade.rowsPruned, rows.rows() - 1);
     EXPECT_GT(cascade.wordsSkipped, 0u);
 }
@@ -303,11 +303,11 @@ TEST(PrunedScanTest, PrunedCountersAreKernelInvariant)
         for (const Hypervector &query : w.queries) {
             distance::setKernelByName("scalar");
             ScanStats scalar;
-            w.rows.nearest(query, dim, policy, &scalar, nullptr);
+            nearest(w.rows, query, dim, policy, &scalar);
             for (const char *kernel : testableKernels()) {
                 distance::setKernelByName(kernel);
                 ScanStats stats;
-                w.rows.nearest(query, dim, policy, &stats, nullptr);
+                nearest(w.rows, query, dim, policy, &stats);
                 EXPECT_EQ(stats.rowsPruned, scalar.rowsPruned)
                     << kernel;
                 EXPECT_EQ(stats.cascadeSurvivors,
@@ -380,14 +380,15 @@ TEST(PrunedScanTest, TopKEdgeCasesAcrossLayoutsAndKernels)
                 for (const ScanPolicy &policy :
                      prunedPolicies(dim)) {
                     std::vector<RowMatch> got;
-                    w.rows.topK(query, dim, 0, policy, nullptr,
+                    w.rows.scan(query, {dim, 0, policy}, nullptr,
                                 got);
                     EXPECT_TRUE(got.empty())
                         << hdham::rowLayoutName(variant.layout)
                         << " kernel "
                         << kernel;
-                    w.rows.topK(query, dim, w.rows.rows() + 5,
-                                policy, nullptr, got);
+                    w.rows.scan(query,
+                                {dim, w.rows.rows() + 5, policy},
+                                nullptr, got);
                     ASSERT_EQ(got.size(), w.rows.rows());
                     for (std::size_t i = 0; i < got.size(); ++i) {
                         EXPECT_EQ(got[i].index, oracle[i].index)
@@ -427,7 +428,7 @@ TEST(PrunedScanTest, TopKAllEqualDistancesKeepsIndexOrder)
             distance::setKernelByName(kernel);
             for (const ScanPolicy &policy : prunedPolicies(dim)) {
                 std::vector<RowMatch> got;
-                rows.topK(query, dim, rows.rows(), policy, nullptr,
+                rows.scan(query, {dim, rows.rows(), policy}, nullptr,
                           got);
                 ASSERT_EQ(got.size(), rows.rows());
                 for (std::size_t i = 0; i < got.size(); ++i) {

@@ -84,10 +84,10 @@ TEST(RaggedPrefixTest, PackedScanRaggedPrefixMatchesOracle)
                 bestIdx = r;
             }
         }
-        std::size_t got = 0;
-        EXPECT_EQ(rows.nearest(query, prefix, &got), bestIdx)
-            << "prefix " << prefix;
-        EXPECT_EQ(got, bestDist) << "prefix " << prefix;
+        std::vector<hdham::RowMatch> got;
+        rows.scan(query, {prefix}, nullptr, got);
+        EXPECT_EQ(got.at(0).index, bestIdx) << "prefix " << prefix;
+        EXPECT_EQ(got.at(0).distance, bestDist) << "prefix " << prefix;
     }
 }
 

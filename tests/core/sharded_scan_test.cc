@@ -2,7 +2,7 @@
  * @file
  * Determinism suite for the sharded scan paths.
  *
- * The sharded contract: nearestSharded()/topKSharded() are
+ * The sharded contract: scan() at any thread count is
  * bit-identical to the unsharded row-major exhaustive scan -- winner
  * indices, distances and the lowest-index tie rule -- for every
  * layout, shard count and thread count; and because every shard
@@ -96,6 +96,17 @@ workload()
     return w;
 }
 
+/** The top-@p k scan on @p threads workers. */
+std::vector<RowMatch>
+scanTop(const PackedRows &rows, const Hypervector &query,
+        std::size_t k, const ScanPolicy &policy, std::size_t threads,
+        ScanStats *stats = nullptr)
+{
+    std::vector<RowMatch> out;
+    rows.scan(query, {kDim, k, policy, threads}, stats, out);
+    return out;
+}
+
 /** The layout axis: seed row-major and the sliced head layout. */
 std::vector<StoreLayout>
 layoutAxis(std::size_t shards)
@@ -116,23 +127,21 @@ TEST(ShardedScanTest, NearestMatchesUnshardedExhaustiveOracle)
         for (const StoreLayout &spec : layoutAxis(shards)) {
             sharded.setLayout(spec);
             for (const Hypervector &query : w.queries) {
-                std::size_t wantDist = 0;
-                const std::size_t want = w.oracle.nearest(
-                    query, kDim, ScanPolicy{PruneMode::Off, 0},
-                    nullptr, nullptr, &wantDist);
+                const RowMatch want =
+                    scanTop(w.oracle, query, 1,
+                            ScanPolicy{PruneMode::Off, 0}, 1)
+                        .at(0);
                 for (const ScanPolicy &policy : shardedPolicies()) {
                     for (const std::size_t threads : kThreadCounts) {
-                        std::size_t gotDist = 0;
-                        const std::size_t got =
-                            sharded.nearestSharded(query, kDim,
-                                                   policy, threads,
-                                                   nullptr, &gotDist);
-                        EXPECT_EQ(got, want)
+                        const RowMatch got =
+                            scanTop(sharded, query, 1, policy, threads)
+                                .at(0);
+                        EXPECT_EQ(got.index, want.index)
                             << hdham::rowLayoutName(spec.layout)
                             << " shards " << shards << " threads "
                             << threads << " cascade "
                             << policy.cascadePrefix;
-                        EXPECT_EQ(gotDist, wantDist)
+                        EXPECT_EQ(got.distance, want.distance)
                             << hdham::rowLayoutName(spec.layout)
                             << " shards " << shards << " threads "
                             << threads;
@@ -172,10 +181,8 @@ TEST(ShardedScanTest, TopKMatchesSortOracle)
                          shardedPolicies()) {
                         for (const std::size_t threads :
                              kThreadCounts) {
-                            std::vector<RowMatch> got;
-                            sharded.topKSharded(query, kDim, k,
-                                                policy, threads,
-                                                nullptr, got);
+                            const std::vector<RowMatch> got = scanTop(
+                                sharded, query, k, policy, threads);
                             ASSERT_EQ(got.size(), kk)
                                 << "k " << k << " shards " << shards;
                             for (std::size_t i = 0; i < kk; ++i) {
@@ -201,9 +208,9 @@ TEST(ShardedScanTest, TopKMatchesSortOracle)
 TEST(ShardedScanTest, MergedCountersAreThreadCountInvariant)
 {
     // Per-shard bounds make every counter a pure function of the
-    // (query, shard partition) pair: the sequential per-shard reduce
-    // in nearest()/topK() and every nearestSharded()/topKSharded()
-    // thread count must produce byte-identical merged ScanStats.
+    // (query, shard partition) pair: the inline per-shard fold and
+    // every fanned-out thread count must produce byte-identical
+    // merged ScanStats, at k = 1 and k = 5.
     const ShardedWorkload &w = workload();
     PackedRows sharded(kDim);
     for (std::size_t r = 0; r < kRows; ++r)
@@ -214,16 +221,13 @@ TEST(ShardedScanTest, MergedCountersAreThreadCountInvariant)
             for (const ScanPolicy &policy : shardedPolicies()) {
                 for (const Hypervector &query : w.queries) {
                     ScanStats sequential;
-                    sharded.nearest(query, kDim, policy, &sequential,
-                                    nullptr);
+                    scanTop(sharded, query, 1, policy, 1, &sequential);
                     ScanStats seqTopK;
-                    std::vector<RowMatch> out;
-                    sharded.topK(query, kDim, 5, policy, &seqTopK,
-                                 out);
+                    scanTop(sharded, query, 5, policy, 1, &seqTopK);
                     for (const std::size_t threads : kThreadCounts) {
                         ScanStats stats;
-                        sharded.nearestSharded(query, kDim, policy,
-                                               threads, &stats);
+                        scanTop(sharded, query, 1, policy, threads,
+                                &stats);
                         EXPECT_EQ(stats.rowsPruned,
                                   sequential.rowsPruned)
                             << hdham::rowLayoutName(spec.layout)
@@ -237,9 +241,8 @@ TEST(ShardedScanTest, MergedCountersAreThreadCountInvariant)
                             << "threads " << threads;
 
                         ScanStats topkStats;
-                        sharded.topKSharded(query, kDim, 5, policy,
-                                            threads, &topkStats,
-                                            out);
+                        scanTop(sharded, query, 5, policy, threads,
+                                &topkStats);
                         EXPECT_EQ(topkStats.rowsPruned,
                                   seqTopK.rowsPruned)
                             << "topK threads " << threads;
@@ -277,8 +280,8 @@ TEST(ShardedScanTest, PrunedRowCountersAreLayoutInvariant)
             for (const Hypervector &query : w.queries) {
                 ScanStats row;
                 ScanStats slice;
-                rowMajor.nearestSharded(query, kDim, policy, 1, &row);
-                sliced.nearestSharded(query, kDim, policy, 1, &slice);
+                scanTop(rowMajor, query, 1, policy, 1, &row);
+                scanTop(sliced, query, 1, policy, 1, &slice);
                 EXPECT_EQ(slice.rowsPruned, row.rowsPruned)
                     << "shards " << shards << " cascade "
                     << policy.cascadePrefix;
@@ -307,17 +310,15 @@ TEST(ShardedScanTest, AllRowsIdenticalTiesResolveToRowZero)
             rows.setLayout(spec);
             for (const ScanPolicy &policy : shardedPolicies()) {
                 for (const std::size_t threads : kThreadCounts) {
-                    std::size_t dist = 0;
-                    EXPECT_EQ(rows.nearestSharded(query, kDim,
-                                                  policy, threads,
-                                                  nullptr, &dist),
-                              0u)
+                    const RowMatch best =
+                        scanTop(rows, query, 1, policy, threads).at(0);
+                    EXPECT_EQ(best.index, 0u)
                         << hdham::rowLayoutName(spec.layout)
                         << " shards " << shards << " threads "
                         << threads;
-                    std::vector<RowMatch> top;
-                    rows.topKSharded(query, kDim, 6, policy, threads,
-                                     nullptr, top);
+                    const std::size_t dist = best.distance;
+                    const std::vector<RowMatch> top =
+                        scanTop(rows, query, 6, policy, threads);
                     ASSERT_EQ(top.size(), 6u);
                     for (std::size_t i = 0; i < top.size(); ++i) {
                         EXPECT_EQ(top[i].index, i)

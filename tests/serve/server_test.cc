@@ -18,6 +18,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -443,6 +444,34 @@ TEST(ServerTest, TcpLoopbackServesTheSameProtocol)
 
     server.stop();
     std::remove(model.c_str());
+}
+
+TEST(ServerTest, ShortConnectionsDoNotAccumulate)
+{
+    // A finished connection's thread must be joined while the server
+    // runs, not only at stop(): an unjoined thread keeps its stack
+    // and guard page mapped. /proc/self/task cannot show the leak
+    // (exited threads leave it), /proc/self/maps can. One connection
+    // stays open throughout, so the reaping has to step around a
+    // live entry, and must leave it serving.
+    ServerFixture fx({}, "churn");
+    Client held = fx.connect();
+    const auto mapsLines = [] {
+        std::ifstream maps("/proc/self/maps");
+        std::size_t lines = 0;
+        for (std::string line; std::getline(maps, line);)
+            ++lines;
+        return lines;
+    };
+    // Warm up first: malloc arenas and the thread-stack cache map
+    // once and are then reused.
+    for (int i = 0; i < 20; ++i)
+        fx.connect().ping();
+    const std::size_t before = mapsLines();
+    for (int i = 0; i < 500; ++i)
+        fx.connect().ping();
+    EXPECT_LT(mapsLines(), before + 50);
+    EXPECT_EQ(held.ping().classes, kClasses);
 }
 
 TEST(ServerTest, ConcurrentClientsDuringSwapsSeeCoherentAnswers)
