@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "core/perf_counters.hh"
-#include "core/serialize.hh"
 
 namespace hdham::modelload
 {
@@ -12,39 +11,18 @@ namespace hdham::modelload
 LoadedModel
 LoadedModel::open(const std::string &path, const OpenOptions &opts)
 {
-    LoadedModel model;
-    model.filePath = path;
-    if (modelfile::sniff(path)) {
-        modelfile::ModelView::Options vopts;
-        vopts.verifyChecksums = opts.verifyChecksums;
-        model.view.emplace(path, vopts);
-    } else {
-        model.owned.emplace(serialize::loadMemory(path));
-    }
-    return model;
+    return LoadedModel(modelfile::ModelView(path, opts));
 }
 
 void
 LoadedModel::recordInfo(metrics::Registry &registry) const
 {
-    registry.setInfo("model.path", filePath);
-    registry.setInfo("model.format",
-                     mapped() ? "hdham.model.v1" : "legacy");
-    if (mapped()) {
-        registry.setInfo("model.version",
-                         std::to_string(view->version()));
-        char checksum[16];
-        std::snprintf(checksum, sizeof(checksum), "%08x",
-                      view->checksum());
-        registry.setInfo("model.checksum", checksum);
-    }
-}
-
-void
-LoadedModel::recordResidency(metrics::Registry &registry) const
-{
-    if (mapped())
-        modelload::recordResidency(registry, *view);
+    registry.setInfo("model.path", view.path());
+    registry.setInfo("model.format", "hdham.model.v1");
+    registry.setInfo("model.version", std::to_string(view.version()));
+    char checksum[16];
+    std::snprintf(checksum, sizeof(checksum), "%08x", view.checksum());
+    registry.setInfo("model.checksum", checksum);
 }
 
 void
@@ -63,12 +41,7 @@ std::unique_ptr<snapshot::MemorySnapshot>
 LoadedModel::intoSnapshot(
     const snapshot::MemorySnapshot::Options &opts) &&
 {
-    if (view.has_value()) {
-        return snapshot::MemorySnapshot::fromView(std::move(*view),
-                                                  opts);
-    }
-    return snapshot::MemorySnapshot::fromMemory(std::move(*owned),
-                                                opts);
+    return snapshot::MemorySnapshot::fromView(std::move(view), opts);
 }
 
 AssociativeMemory

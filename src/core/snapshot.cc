@@ -5,8 +5,6 @@
 #include <thread>
 #include <utility>
 
-#include "core/serialize.hh"
-
 namespace hdham::snapshot
 {
 
@@ -165,24 +163,6 @@ MemorySnapshot::fromView(modelfile::ModelView &&view,
 {
     return std::unique_ptr<MemorySnapshot>(
         new MemorySnapshot(std::move(view), opts));
-}
-
-std::unique_ptr<MemorySnapshot>
-MemorySnapshot::fromFile(const std::string &path, const Options &opts,
-                         bool verifyChecksums)
-{
-    if (modelfile::sniff(path)) {
-        modelfile::ModelView::Options vopts;
-        vopts.verifyChecksums = verifyChecksums;
-        return fromView(modelfile::ModelView(path, vopts), opts);
-    }
-    // Legacy stream format: parse into RAM (no side memories in
-    // that format).
-    AssociativeMemory am = serialize::loadMemory(path);
-    auto snap = std::unique_ptr<MemorySnapshot>(new MemorySnapshot(
-        std::move(am), opts, std::nullopt, std::nullopt));
-    snap->path = path;
-    return snap;
 }
 
 // ---------------------------------------------------------------------------

@@ -136,9 +136,10 @@ class MemorySnapshot
 
     /**
      * Freeze an in-RAM memory (typically a SnapshotBuilder product
-     * or a legacy-format load) into a snapshot. The memory is moved
-     * in; @p items / @p levels are optional side memories carried
-     * along, and @p items also gets the snapshot its encoder().
+     * or a re-laid copy of a mapped model) into a snapshot. The
+     * memory is moved in; @p items / @p levels are optional side
+     * memories carried along, and @p items also gets the snapshot
+     * its encoder().
      */
     static std::unique_ptr<MemorySnapshot>
     fromMemory(AssociativeMemory &&am, const Options &opts = {},
@@ -152,18 +153,6 @@ class MemorySnapshot
      */
     static std::unique_ptr<MemorySnapshot>
     fromView(modelfile::ModelView &&view, const Options &opts = {});
-
-    /**
-     * Map an hdham.model.v1 file and freeze the zero-copy view as a
-     * snapshot (row words served straight from the mapping; side
-     * memories materialized, and the encoder built from them). Legacy
-     * stream files are parsed into RAM instead. Either way the
-     * resulting snapshot serves bit-identically to the saved store.
-     * @throws std::runtime_error on malformed input.
-     */
-    static std::unique_ptr<MemorySnapshot>
-    fromFile(const std::string &path, const Options &opts = {},
-             bool verifyChecksums = true);
 
     MemorySnapshot(const MemorySnapshot &) = delete;
     MemorySnapshot &operator=(const MemorySnapshot &) = delete;
@@ -228,7 +217,7 @@ class MemorySnapshot
     /** Engaged when the store is served from a mapped model file;
      *  the served memory then lives inside the view. */
     std::optional<modelfile::ModelView> view;
-    /** Owned store (RAM and legacy-format snapshots). */
+    /** Owned store (snapshots built from RAM). */
     std::optional<AssociativeMemory> owned;
     /** The served memory: &view->memory() or &*owned. */
     const AssociativeMemory *mem = nullptr;

@@ -211,6 +211,9 @@ class Reader
     std::vector<std::uint64_t> words()
     {
         const std::uint32_t n = u32();
+        // Check the declared size against the payload before
+        // allocating: n comes off the wire.
+        need(std::size_t(n) * 8);
         std::vector<std::uint64_t> w(n);
         for (std::uint32_t i = 0; i < n; ++i)
             w[i] = u64();

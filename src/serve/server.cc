@@ -5,6 +5,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <sstream>
@@ -35,6 +36,17 @@ std::uint64_t
 updateSeed()
 {
     return lang::PipelineConfig{}.seed ^ 0x75706474ULL;
+}
+
+/**
+ * How many elements to reserve for a request that declares @p count:
+ * the count comes off the wire, and every element (a str or an hv)
+ * takes at least 4 payload bytes, so the payload bounds it.
+ */
+std::size_t
+plausibleCount(std::uint32_t count, const Reader &req)
+{
+    return std::min<std::size_t>(count, req.left() / 4);
 }
 
 std::vector<std::uint8_t>
@@ -81,14 +93,13 @@ Server::loadModel(const std::string &path)
     if (cfg.layout.has_value()) {
         // An explicit re-lay materializes the store (a mapped model
         // cannot be re-laid in place); side memories are carried.
+        const modelfile::ModelView &view = *model.modelView();
         std::optional<ItemMemory> items;
         std::optional<LevelItemMemory> levels;
-        if (const modelfile::ModelView *view = model.modelView()) {
-            if (view->hasItemMemory())
-                items.emplace(view->itemMemory());
-            if (view->hasLevelMemory())
-                levels.emplace(view->levelMemory());
-        }
+        if (view.hasItemMemory())
+            items.emplace(view.itemMemory());
+        if (view.hasLevelMemory())
+            levels.emplace(view.levelMemory());
         AssociativeMemory relaid =
             modelload::materialize(model.memory());
         relaid.setStoreLayout(*cfg.layout);
@@ -104,10 +115,11 @@ Server::loadModel(const std::string &path)
     updateBuilder =
         std::make_unique<snapshot::SnapshotBuilder>(*pin);
     if (!pin->hasItemMemory()) {
-        // Legacy models carry no encoder seeds; regenerate the
-        // library defaults once. This snapshot is served by the
-        // fallback encoder; every future one carries the seeds (and
-        // its own encoder) via the builder.
+        // A model saved without its item memory (a vector-only
+        // model) carries no encoder seeds; regenerate the library
+        // defaults once. This snapshot is served by the fallback
+        // encoder; every future one carries the seeds (and its own
+        // encoder) via the builder.
         ItemMemory fallbackItems(TextAlphabet::size, pin->dim(),
                                  lang::PipelineConfig{}.seed);
         fallbackEncoder.emplace(fallbackItems);
@@ -350,7 +362,7 @@ Server::doClassify(Reader &req)
 {
     const std::uint32_t count = req.u32();
     std::vector<std::string> texts;
-    texts.reserve(count);
+    texts.reserve(plausibleCount(count, req));
     for (std::uint32_t i = 0; i < count; ++i)
         texts.push_back(req.str());
 
@@ -393,7 +405,7 @@ Server::doSearch(Reader &req)
     const AssociativeMemory &memory = pin->memory();
 
     std::vector<Hypervector> queries;
-    queries.reserve(count);
+    queries.reserve(plausibleCount(count, req));
     for (std::uint32_t i = 0; i < count; ++i)
         queries.push_back(readQueryVector(req, memory.dim()));
 
@@ -420,7 +432,7 @@ Server::doTopK(Reader &req)
     const AssociativeMemory &memory = pin->memory();
 
     std::vector<Hypervector> queries;
-    queries.reserve(count);
+    queries.reserve(plausibleCount(count, req));
     for (std::uint32_t i = 0; i < count; ++i)
         queries.push_back(readQueryVector(req, memory.dim()));
 

@@ -530,17 +530,17 @@ TEST(ModelFileTest, MoveTransfersTheMapping)
     std::remove(path.c_str());
 }
 
-TEST(ModelFileTest, SniffRoutesFormats)
+TEST(ModelFileTest, NonModelFilesRejected)
 {
-    const std::string v1 = tempFile(
-        "mf_sniff_v1.hdc", serializedModel(StoreLayout{}));
-    EXPECT_TRUE(modelfile::sniff(v1));
-    const std::string other =
-        tempFile("mf_sniff_other.bin", "HDHAM\0\0\0legacyish");
-    EXPECT_FALSE(modelfile::sniff(other));
-    EXPECT_FALSE(modelfile::sniff("/nonexistent/nope.hdc"));
-    const std::string shorty = tempFile("mf_sniff_short.bin", "HD");
-    EXPECT_FALSE(modelfile::sniff(shorty));
+    // A header-sized file under another format's magic, a 2-byte
+    // file and a missing file: each is refused by the one loader.
+    const std::string foreign =
+        std::string("HDHAM\0\0\0", 8) +
+        std::string(modelfile::headerBytes, '\0');
+    expectLoadError(tempFile("mf_foreign.bin", foreign), "bad magic");
+    expectLoadError(tempFile("mf_short.bin", "HD"),
+                    "truncated header");
+    expectLoadError("/nonexistent/nope.hdc", "cannot open");
 }
 
 TEST(ModelFileTest, MissingFileNamed)

@@ -5,8 +5,8 @@
  * Pins the ownership contract of core/snapshot.hh: publication holds
  * one reference and each SnapshotRef one more; a retired snapshot is
  * freed exactly when its last in-flight reference drops; the builder
- * reproduces its seed store bit for bit; and fromFile serves both
- * on-disk formats identically to the in-RAM store they were saved
+ * reproduces its seed store bit for bit; and a snapshot of an opened
+ * model file serves identically to the in-RAM store it was saved
  * from.
  */
 
@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "core/model_file.hh"
+#include "core/model_loader.hh"
 #include "core/random.hh"
-#include "core/serialize.hh"
 #include "core/snapshot.hh"
 #include "core/trainable_memory.hh"
 #include "support/temp_path.hh"
@@ -35,6 +35,7 @@ using hdham::PruneMode;
 using hdham::Rng;
 using hdham::ScanPolicy;
 using hdham::TrainableMemory;
+using hdham::modelload::LoadedModel;
 using hdham::snapshot::MemorySnapshot;
 using hdham::snapshot::SnapshotBuilder;
 using hdham::snapshot::SnapshotRef;
@@ -282,31 +283,24 @@ TEST(TrainableAssimilateTest, TiesResolveToLowestClassId)
     EXPECT_EQ(trainable.assimilate(proto, "x", 0), 0u);
 }
 
-TEST(SnapshotFileTest, FromFileServesBothFormatsIdentically)
+TEST(SnapshotFileTest, OpenedModelServesIdentically)
 {
     const AssociativeMemory original = randomMemory(8, 71);
     TempFile v1("snapshot_test_model_v1.hdc");
-    TempFile legacy("snapshot_test_model_legacy.hdc");
     hdham::modelfile::save(v1.path, original);
-    hdham::serialize::saveMemory(legacy.path, original);
 
-    const auto mappedSnap = MemorySnapshot::fromFile(v1.path);
-    const auto ownedSnap = MemorySnapshot::fromFile(legacy.path);
+    const auto mappedSnap =
+        LoadedModel::open(v1.path).intoSnapshot();
     EXPECT_TRUE(mappedSnap->mapped());
-    EXPECT_FALSE(ownedSnap->mapped());
     EXPECT_EQ(mappedSnap->modelPath(), v1.path);
-    EXPECT_EQ(ownedSnap->modelPath(), legacy.path);
 
     Rng rng(81);
     for (int q = 0; q < 16; ++q) {
         const Hypervector query = Hypervector::random(kDim, rng);
         const auto expected = original.search(query);
         const auto fromMapped = mappedSnap->memory().search(query);
-        const auto fromOwned = ownedSnap->memory().search(query);
         EXPECT_EQ(fromMapped.classId, expected.classId);
         EXPECT_EQ(fromMapped.bestDistance, expected.bestDistance);
-        EXPECT_EQ(fromOwned.classId, expected.classId);
-        EXPECT_EQ(fromOwned.bestDistance, expected.bestDistance);
     }
 }
 
@@ -318,7 +312,7 @@ TEST(SnapshotFileTest, MappedSnapshotSurvivesPublishCycle)
     hdham::modelfile::save(file.path, original);
 
     SnapshotSource source;
-    source.publish(MemorySnapshot::fromFile(file.path));
+    source.publish(LoadedModel::open(file.path).intoSnapshot());
     SnapshotRef pinned = source.acquire();
     EXPECT_TRUE(pinned->mapped());
 

@@ -3,20 +3,22 @@
  * Randomized cross-module consistency checks: many random shapes
  * and seeds, asserting the invariants that tie the layers together
  * (noise-free hardware == software oracle; algebra identities at
- * arbitrary dimensionalities; serialization round-trips of
+ * arbitrary dimensionalities; hdham.model.v1 round-trips of
  * arbitrary contents).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <string>
 
 #include "core/assoc_memory.hh"
+#include "core/model_file.hh"
 #include "core/ops.hh"
-#include "core/serialize.hh"
 #include "ham/a_ham.hh"
 #include "ham/d_ham.hh"
 #include "ham/r_ham.hh"
+#include "support/temp_path.hh"
 
 namespace
 {
@@ -128,15 +130,19 @@ TEST_P(FuzzTest, SerializationRoundTripsArbitraryContents)
             ch = static_cast<char>('a' + rng.nextBelow(26));
         am.store(Hypervector::random(dim, rng), label);
     }
-    std::stringstream stream;
-    hdham::serialize::writeMemory(stream, am);
-    const AssociativeMemory loaded =
-        hdham::serialize::readMemory(stream);
-    ASSERT_EQ(loaded.size(), am.size());
-    for (std::size_t c = 0; c < classes; ++c) {
-        EXPECT_EQ(loaded.vectorOf(c), am.vectorOf(c));
-        EXPECT_EQ(loaded.labelOf(c), am.labelOf(c));
+    const std::string path =
+        hdham::test::uniqueTempPath("fuzz_roundtrip.hdc");
+    hdham::modelfile::save(path, am);
+    {
+        const hdham::modelfile::ModelView view(path);
+        const AssociativeMemory &loaded = view.memory();
+        ASSERT_EQ(loaded.size(), am.size());
+        for (std::size_t c = 0; c < classes; ++c) {
+            EXPECT_EQ(loaded.vectorOf(c), am.vectorOf(c));
+            EXPECT_EQ(loaded.labelOf(c), am.labelOf(c));
+        }
     }
+    std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzTest,

@@ -8,16 +8,20 @@
  * file: search/top-k results are bit-identical to the direct engine,
  * classify matches a local encode with the CLI's tie-break seed,
  * update->swap publishes a grown snapshot that subsequent queries
- * observe, and error paths come back as error responses, not closed
- * connections.
+ * observe, and error paths -- down to every truncation and seeded
+ * single-byte mutation of each request type -- come back as error
+ * responses, not closed connections.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -32,6 +36,7 @@
 #include "core/random.hh"
 #include "lang/pipeline.hh"
 #include "serve/client.hh"
+#include "serve/protocol.hh"
 #include "serve/server.hh"
 #include "support/temp_path.hh"
 
@@ -45,13 +50,17 @@ using hdham::ItemMemory;
 using hdham::Rng;
 using hdham::TextAlphabet;
 using hdham::serve::Client;
+using hdham::serve::MsgType;
 using hdham::serve::PingReply;
 using hdham::serve::QueryReply;
+using hdham::serve::Reader;
+using hdham::serve::Response;
 using hdham::serve::Server;
 using hdham::serve::ServerConfig;
 using hdham::serve::SwapReply;
 using hdham::serve::TopKReply;
 using hdham::serve::UpdateReply;
+using hdham::serve::Writer;
 
 constexpr std::size_t kDim = 512;
 constexpr std::size_t kClasses = 12;
@@ -519,6 +528,155 @@ TEST(ServerTest, ConcurrentClientsDuringSwapsSeeCoherentAnswers)
         t.join();
     EXPECT_EQ(failures.load(), 0u);
     EXPECT_EQ(updater.ping().sequence, 4u);
+}
+
+/** A raw unix-socket connection, for frames the Client never sends. */
+struct RawConnection
+{
+    explicit RawConnection(const std::string &path)
+        : fd(::socket(AF_UNIX, SOCK_STREAM, 0))
+    {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        if (fd < 0 ||
+            ::connect(fd, reinterpret_cast<const sockaddr *>(&addr),
+                      sizeof(addr)) != 0)
+            throw std::runtime_error("raw connect failed: " + path);
+    }
+    ~RawConnection() { ::close(fd); }
+    RawConnection(const RawConnection &) = delete;
+    RawConnection &operator=(const RawConnection &) = delete;
+
+    /** Send one frame; false when the server closed the connection. */
+    bool call(MsgType type, const std::vector<std::uint8_t> &payload,
+              Response &resp)
+    {
+        hdham::serve::writeRequest(fd, type, payload);
+        return hdham::serve::readResponse(fd, resp);
+    }
+
+    int fd;
+};
+
+/**
+ * Empty when @p resp is an error response with a message, or an OK
+ * response that decodes as @p type's reply with no byte left over;
+ * otherwise what is wrong with it.
+ */
+std::string
+malformedReply(MsgType type, const Response &resp)
+{
+    if (resp.type != static_cast<std::uint8_t>(type))
+        return "reply type " + std::to_string(resp.type);
+    if (resp.status == hdham::serve::kError)
+        return resp.payload.empty() ? "error without a message" : "";
+    if (resp.status != hdham::serve::kOk)
+        return "status " + std::to_string(resp.status);
+    try {
+        Reader in(resp.payload);
+        if (type == MsgType::Update) {
+            in.u32();
+            in.u64();
+        } else {
+            in.u64();
+            const std::uint32_t count = in.u32();
+            for (std::uint32_t i = 0; i < count; ++i) {
+                if (type == MsgType::TopK) {
+                    const std::uint32_t ranked = in.u32();
+                    for (std::uint32_t j = 0; j < ranked; ++j) {
+                        in.u64();
+                        in.u64();
+                    }
+                } else {
+                    in.u64();
+                    in.u64();
+                    in.str();
+                }
+            }
+        }
+        if (in.left() != 0)
+            return std::to_string(in.left()) + " trailing bytes";
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(ServerTest, EveryTruncatedOrMutatedRequestGetsAnAnswer)
+{
+    // Every strict prefix of one valid payload per request type, and
+    // 200 seeded single-byte mutations of it, must be answered -- an
+    // error response or a well-formed reply, never a dropped
+    // connection or a crash -- and the same connection must still
+    // answer Ping afterwards.
+    ServerFixture fx({}, "sweep");
+    RawConnection conn(fx.socketPath);
+    const std::vector<Hypervector> queries = fixtureQueries(2);
+
+    std::vector<std::pair<MsgType, std::vector<std::uint8_t>>> valid;
+    {
+        Writer w;
+        w.u32(2);
+        w.str("the quick brown fox jumps over the lazy dog");
+        w.str("pack my box with five dozen liquor jugs");
+        valid.emplace_back(MsgType::Classify, w.take());
+    }
+    {
+        Writer w;
+        w.u32(2);
+        for (const Hypervector &q : queries)
+            w.words(q.data(), q.words());
+        valid.emplace_back(MsgType::Search, w.take());
+    }
+    {
+        Writer w;
+        w.u32(3);
+        w.u32(2);
+        for (const Hypervector &q : queries)
+            w.words(q.data(), q.words());
+        valid.emplace_back(MsgType::TopK, w.take());
+    }
+    {
+        Writer w;
+        w.u8(hdham::serve::kLabeled);
+        w.u32(0);
+        w.u32(2);
+        w.str("sweep");
+        w.str("sphinx of black quartz judge my vow");
+        w.str("label3");
+        w.str("how vexingly quick daft zebras jump");
+        valid.emplace_back(MsgType::Update, w.take());
+    }
+
+    Rng rng(0x73776565ULL);
+    for (const auto &[type, payload] : valid) {
+        std::vector<std::vector<std::uint8_t>> cases;
+        for (std::size_t len = 0; len < payload.size(); ++len)
+            cases.emplace_back(payload.begin(),
+                               payload.begin() +
+                                   static_cast<long>(len));
+        for (int m = 0; m < 200; ++m) {
+            std::vector<std::uint8_t> mutated = payload;
+            mutated[rng.nextBelow(mutated.size())] ^=
+                static_cast<std::uint8_t>(1 + rng.nextBelow(255));
+            cases.push_back(std::move(mutated));
+        }
+        for (std::size_t c = 0; c < cases.size(); ++c) {
+            const std::string where =
+                "type " + std::to_string(static_cast<int>(type)) +
+                " case " + std::to_string(c);
+            Response resp;
+            ASSERT_TRUE(conn.call(type, cases[c], resp))
+                << where << ": connection dropped";
+            ASSERT_EQ(malformedReply(type, resp), "") << where;
+            Response pong;
+            ASSERT_TRUE(conn.call(MsgType::Ping, {}, pong))
+                << where << ": connection dropped before Ping";
+            ASSERT_EQ(pong.status, hdham::serve::kOk) << where;
+        }
+    }
 }
 
 } // namespace

@@ -16,6 +16,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <system_error>
@@ -25,9 +26,10 @@ namespace hdham::test
 
 /**
  * ::testing::TempDir() + "hdham_<pid>/<test>_" + @p name, where <test>
- * is the running test's name ("none" outside a test). The per-process
- * directory is created on first use and removed, with everything in
- * it, when the process exits normally.
+ * is the running test's name ("none" outside a test; the '/' of a
+ * parameterized name becomes '_'). The per-process directory is
+ * created on first use and removed, with everything in it, when the
+ * process exits normally.
  */
 inline std::string
 uniqueTempPath(const std::string &name)
@@ -47,9 +49,9 @@ uniqueTempPath(const std::string &name)
     static const ProcessDir dir;
     const ::testing::TestInfo *info =
         ::testing::UnitTest::GetInstance()->current_test_info();
-    return (dir.path / ((info != nullptr ? info->name() : "none") +
-                        std::string("_") + name))
-        .string();
+    std::string test = info != nullptr ? info->name() : "none";
+    std::replace(test.begin(), test.end(), '/', '_');
+    return (dir.path / (test + "_" + name)).string();
 }
 
 } // namespace hdham::test

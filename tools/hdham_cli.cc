@@ -4,12 +4,10 @@
  *
  * Subcommands:
  *   train    --out PATH [--dim N] [--train-chars N] [--sentences N]
- *            [--threads N] [--format v1|legacy] [--stats-json PATH]
- *            [--trace PATH]
+ *            [--threads N] [--stats-json PATH] [--trace PATH]
  *            train the 21-language classifier on the synthetic
- *            corpus and persist the learned hypervectors --
- *            hdham.model.v1 by default (mmap-able; embeds the item
- *            memory), or the legacy stream format
+ *            corpus and save the learned hypervectors, with the item
+ *            memory, as an hdham.model.v1 file
  *   classify --model PATH [--design am|dham|rham|aham] [--threads N]
  *            [--batch N] [--prune auto|on|off]
  *            [--cascade-prefix BITS] [--layout row|sliced]
@@ -21,6 +19,28 @@
  *            reported in the metrics "info" map next to "kernel");
  *            --layout / --shards re-lay the class store (bit-sliced
  *            cascade heads, per-shard scans) -- also exact
+ *   save     --model PATH --out PATH [--layout row|sliced]
+ *            [--shards N] [--cascade-prefix BITS]
+ *            re-lay or copy a model: the class store is rewritten
+ *            with the chosen physical layout (or as it is), side
+ *            memories carried over
+ *   load     --model PATH [--no-verify]
+ *            map a model, validate it and describe what it serves
+ *   info     --model PATH
+ *            describe a saved model
+ *   cost     [--dim N] [--classes N]
+ *            print the design-space cost table
+ *   serve / query
+ *            run the resident query server, or send it one request
+ *            (src/serve/commands.cc)
+ *
+ * Every model file is hdham.model.v1 (core/model_file.hh), opened
+ * through the one shared path of core/model_loader.hh: mapped,
+ * validated, and -- with --design am -- queried zero-copy in place.
+ * Every --stats-json snapshot records the model provenance
+ * (model.path, model.format, model.version, model.checksum) in the
+ * "info" map. Subcommands reject any argument they do not know,
+ * except classify, which takes its leftovers as TEXT, and query.
  *
  * --stats-json dumps a query-path observability snapshot (the
  * hdham.metrics.v1 schema of core/metrics.hh): per-design counters
@@ -43,31 +63,11 @@
  * threshold -- span tree plus perf delta -- into a bounded
  * hdham.events.v1 JSONL log (core/event_log.hh) with exact drop
  * counts.
- *   save     --model PATH --out PATH [--layout row|sliced]
- *            [--shards N] [--cascade-prefix BITS]
- *            convert a model (either format) to hdham.model.v1,
- *            optionally re-laying the class store first so the file
- *            serves with the chosen physical layout
- *   load     --model PATH [--no-verify]
- *            mmap an hdham.model.v1 file, validate it and describe
- *            what it serves (the same loader classify uses)
- *   info     --model PATH
- *            describe a saved model
- *   cost     [--dim N] [--classes N]
- *            print the design-space cost table
- *
- * classify/info/load accept both model formats, routed by the
- * 8-byte magic sniff: hdham.model.v1 files are mmap'ed and -- with
- * --design am -- queried zero-copy in place; legacy stream models
- * are parsed into RAM (core/serialize.hh). Every --stats-json
- * snapshot records the model provenance (model.path, model.format,
- * and for v1 files model.version / model.checksum) in the "info"
- * map.
  *
  * The encoder configuration (item-memory seed, trigram size) is the
- * library default; v1 models trained by this tool additionally embed
- * the item memory, so classify rebuilds the exact encoder from the
- * file itself.
+ * library default; models trained by this tool also embed the item
+ * memory, so classify rebuilds the exact encoder from the file
+ * itself.
  */
 
 #include <unistd.h>
@@ -92,7 +92,6 @@
 #include "core/model_file.hh"
 #include "core/model_loader.hh"
 #include "core/perf_counters.hh"
-#include "core/serialize.hh"
 #include "core/trace.hh"
 #include "ham/a_ham.hh"
 #include "ham/d_ham.hh"
@@ -115,8 +114,7 @@ usage()
         "usage:\n"
         "  hdham train --out PATH [--dim N] [--train-chars N] "
         "[--sentences N] [--threads N] [--kernel K] "
-        "[--format v1|legacy] [--perf] [--stats-json PATH] "
-        "[--trace PATH]\n"
+        "[--perf] [--stats-json PATH] [--trace PATH]\n"
         "  hdham classify --model PATH "
         "[--design am|dham|rham|aham] "
         "[--threads N] [--batch N] [--kernel K] "
@@ -138,14 +136,10 @@ usage()
         "              [--threshold BITS] LABEL=TEXT..."
         "|swap|stats|trace|shutdown\n"
         "\n"
-        "  --format F        on-disk format train writes: v1 "
-        "(default; mmap-able hdham.model.v1, embeds the\n"
-        "                    item memory) or legacy (stream format "
-        "of core/serialize.hh)\n"
         "  --design am       serve queries from the software "
-        "associative memory itself; a v1 model is then\n"
-        "                    queried zero-copy straight from the "
-        "mmap'ed file\n"
+        "associative memory itself, queried\n"
+        "                    zero-copy straight from the mmap'ed "
+        "model file\n"
         "  --prune M         bound-pruned scan mode for prunable "
         "designs (dham): auto (default; prune when the\n"
         "                    bound is tight), on, off -- results are "
@@ -237,6 +231,23 @@ boolOption(std::vector<std::string> &args, const std::string &flag)
         return false;
     args.erase(it);
     return true;
+}
+
+/**
+ * False (after naming them) when @p args still holds arguments that
+ * no option of @p command consumed.
+ */
+bool
+noLeftovers(const std::vector<std::string> &args, const char *command)
+{
+    if (args.empty())
+        return true;
+    std::string names;
+    for (const std::string &arg : args)
+        names += " " + arg;
+    std::fprintf(stderr, "%s: unknown argument%s:%s\n", command,
+                 args.size() == 1 ? "" : "s", names.c_str());
+    return false;
 }
 
 /**
@@ -337,15 +348,7 @@ cmdTrain(std::vector<std::string> args)
     const std::string statsPath = option(args, "--stats-json", "");
     const std::string tracePath = option(args, "--trace", "");
     const bool perfOn = boolOption(args, "--perf");
-    const std::string format = option(args, "--format", "v1");
-    if (format != "v1" && format != "legacy") {
-        std::fprintf(stderr,
-                     "train: unknown format '%s' (expected v1 or "
-                     "legacy)\n",
-                     format.c_str());
-        return 2;
-    }
-    if (!kernelOption(args, "train"))
+    if (!kernelOption(args, "train") || !noLeftovers(args, "train"))
         return 2;
 
     std::printf("training %zu languages at D = %zu...\n",
@@ -374,15 +377,10 @@ cmdTrain(std::vector<std::string> args)
     std::printf("held-out accuracy: %.1f%% (%zu/%zu)\n",
                 100.0 * eval.accuracy(), eval.correct, eval.total);
 
-    if (format == "v1") {
-        modelfile::SaveOptions saveOpts;
-        saveOpts.items = &pipeline.itemMemory();
-        modelfile::save(out, pipeline.memory(), saveOpts);
-    } else {
-        serialize::saveMemory(out, pipeline.memory());
-    }
-    std::printf("model written to %s (%s)\n", out.c_str(),
-                format == "v1" ? "hdham.model.v1" : "legacy");
+    modelfile::SaveOptions saveOpts;
+    saveOpts.items = &pipeline.itemMemory();
+    modelfile::save(out, pipeline.memory(), saveOpts);
+    std::printf("model written to %s (hdham.model.v1)\n", out.c_str());
 
     if (!tracePath.empty())
         writeTrace(tracer, tracePath);
@@ -505,10 +503,10 @@ cmdClassify(std::vector<std::string> args)
         if (relayout)
             hardware->setStoreLayout(storeLayout);
     } else {
-        // Serve from the associative memory itself: a v1 model is
-        // queried zero-copy straight from the mapping, whose
-        // physical layout is the file's -- re-lay with `hdham save`.
-        if (model.mapped() && relayout) {
+        // Serve from the associative memory itself, queried
+        // zero-copy straight from the mapping, whose physical
+        // layout is the file's -- re-lay with `hdham save`.
+        if (relayout) {
             std::fprintf(stderr,
                          "classify: --design am serves a mapped "
                          "model in its on-disk layout; use `hdham "
@@ -516,8 +514,6 @@ cmdClassify(std::vector<std::string> args)
                          "file\n");
             return 2;
         }
-        if (!model.mapped() && relayout)
-            memory.setStoreLayout(storeLayout);
         memory.setScanPolicy(scanPolicy);
     }
 
@@ -541,12 +537,12 @@ cmdClassify(std::vector<std::string> args)
     if (perfOn)
         workload.emplace();
 
-    // Rebuild the encoder: from the item memory embedded in a v1
+    // Rebuild the encoder: from the item memory embedded in the
     // model when present, else the library-default configuration
     // the model was trained with.
     const lang::PipelineConfig defaults;
     const ItemMemory items =
-        model.mapped() && model.modelView()->hasItemMemory()
+        model.modelView()->hasItemMemory()
             ? model.modelView()->itemMemory()
             : ItemMemory(TextAlphabet::size, memory.dim(),
                          defaults.seed);
@@ -643,7 +639,7 @@ cmdClassify(std::vector<std::string> args)
         }
         // How much of the mapped model the scan actually pulled into
         // memory -- the mmap cold-start story in two gauges.
-        model.recordResidency(registry);
+        modelload::recordResidency(registry, *model.modelView());
         model.recordInfo(registry);
         writeStatsJson(registry, statsPath, memory.dim(),
                        memory.size(), threads);
@@ -652,10 +648,9 @@ cmdClassify(std::vector<std::string> args)
 }
 
 /**
- * `hdham save`: convert a model (either format) to hdham.model.v1,
- * optionally re-laying the class store so the file serves with the
- * chosen physical layout. Side memories embedded in a v1 input are
- * carried over.
+ * `hdham save`: re-lay or copy a model, rewriting the class store
+ * with the chosen physical layout (or as it is) so the file serves
+ * with it. Side memories embedded in the input are carried over.
  */
 int
 cmdSave(std::vector<std::string> args)
@@ -693,19 +688,19 @@ cmdSave(std::vector<std::string> args)
         storeLayout.shards = shards == 0 ? 1 : shards;
         storeLayout.slicePrefix = cascadePrefix;
     }
+    if (!noLeftovers(args, "save"))
+        return 2;
 
     modelload::LoadedModel model = modelload::LoadedModel::open(in);
 
-    // Carry any side memories embedded in a v1 input across the
-    // conversion.
+    // Carry any side memories embedded in the input across.
+    const modelfile::ModelView &view = *model.modelView();
     std::optional<ItemMemory> items;
     std::optional<LevelItemMemory> levels;
-    if (model.mapped()) {
-        if (model.modelView()->hasItemMemory())
-            items.emplace(model.modelView()->itemMemory());
-        if (model.modelView()->hasLevelMemory())
-            levels.emplace(model.modelView()->levelMemory());
-    }
+    if (view.hasItemMemory())
+        items.emplace(view.itemMemory());
+    if (view.hasLevelMemory())
+        levels.emplace(view.levelMemory());
     modelfile::SaveOptions saveOpts;
     saveOpts.items = items.has_value() ? &*items : nullptr;
     saveOpts.levels = levels.has_value() ? &*levels : nullptr;
@@ -726,9 +721,8 @@ cmdSave(std::vector<std::string> args)
             relaid.setStoreLayout(storeLayout);
             modelfile::save(tmp, relaid, saveOpts);
         } else {
-            // A mapped input streams straight from the mapping; a
-            // legacy input streams from its in-RAM store. Either way
-            // no second full-model buffer is built.
+            // Stream straight from the mapping: no second full-model
+            // buffer is built.
             modelfile::save(tmp, model.memory(), saveOpts);
         }
         if (std::rename(tmp.c_str(), out.c_str()) != 0) {
@@ -753,8 +747,8 @@ cmdSave(std::vector<std::string> args)
 }
 
 /**
- * `hdham load`: mmap and validate an hdham.model.v1 file with the
- * same loader classify uses, then describe what it serves.
+ * `hdham load`: map and validate a model with the same loader
+ * classify uses, then describe what it serves.
  */
 int
 cmdLoad(std::vector<std::string> args)
@@ -765,23 +759,13 @@ cmdLoad(std::vector<std::string> args)
         return 2;
     }
     modelload::OpenOptions opts;
-    const auto noVerify =
-        std::find(args.begin(), args.end(), "--no-verify");
-    if (noVerify != args.end()) {
-        opts.verifyChecksums = false;
-        args.erase(noVerify);
-    }
+    opts.verifyChecksums = !boolOption(args, "--no-verify");
+    if (!noLeftovers(args, "load"))
+        return 2;
     // The shared open path (core/model_loader.hh): the exact loader
     // classify and hdham_server use.
     const modelload::LoadedModel model =
         modelload::LoadedModel::open(path, opts);
-    if (!model.mapped()) {
-        std::fprintf(stderr,
-                     "load: %s is a legacy stream model (nothing is "
-                     "mapped); convert with `hdham save`\n",
-                     path.c_str());
-        return 1;
-    }
     const modelfile::ModelView &view = *model.modelView();
     const AssociativeMemory &memory = model.memory();
     std::printf("format         : hdham.model.v%u (mmap)\n",
@@ -823,12 +807,12 @@ cmdInfo(std::vector<std::string> args)
         std::fprintf(stderr, "info: --model is required\n");
         return 2;
     }
+    if (!noLeftovers(args, "info"))
+        return 2;
     const modelload::LoadedModel model =
         modelload::LoadedModel::open(path);
     const AssociativeMemory &memory = model.memory();
-    std::printf("format         : %s\n",
-                model.mapped() ? "hdham.model.v1 (mmap)"
-                               : "legacy stream");
+    std::printf("format         : hdham.model.v1 (mmap)\n");
     std::printf("dimensionality : %zu\n", memory.dim());
     std::printf("classes        : %zu\n", memory.size());
     if (memory.size() >= 2) {
@@ -849,6 +833,8 @@ cmdCost(std::vector<std::string> args)
     const std::size_t dim = numericOption(args, "--dim", 10000);
     const std::size_t classes =
         numericOption(args, "--classes", 21);
+    if (!noLeftovers(args, "cost"))
+        return 2;
     std::printf("design space at D = %zu, C = %zu:\n", dim, classes);
     std::printf("%8s %10s | %-26s %10s %9s %10s\n", "design",
                 "target", "knobs", "energy/pJ", "delay/ns", "EDP");
