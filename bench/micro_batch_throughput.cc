@@ -321,8 +321,6 @@ constexpr std::size_t kScaleDim = 1024;
 /** Cascade first pass and slice width (bits). */
 constexpr std::size_t kScalePrefix = 128;
 constexpr std::size_t kScaleBatch = 8;
-/** Shard count of the sharded class-scale config. */
-constexpr std::size_t kScaleShards = 8;
 
 struct ClassScaleFixture
 {
@@ -333,21 +331,18 @@ struct ClassScaleFixture
 
 /**
  * Store fixtures are expensive (a 1M-row build plus a reshape), so
- * each (classes, layout, shards) combination is built once per
- * process and reused across iterations. Queries derive from the RNG
- * stream before any reshape, so every layout of the same class count
- * serves the identical workload.
+ * each (classes, layout) combination is built once per process and
+ * reused across iterations. Queries derive from the RNG stream
+ * before any reshape, so every layout of the same class count serves
+ * the identical workload.
  */
 const ClassScaleFixture &
-classScaleFixture(std::size_t classes, RowLayout layout,
-                  std::size_t shards)
+classScaleFixture(std::size_t classes, RowLayout layout)
 {
-    static std::map<std::pair<std::size_t, std::size_t>,
+    static std::map<std::pair<std::size_t, RowLayout>,
                     std::unique_ptr<ClassScaleFixture>>
         cache;
-    const std::size_t variant =
-        (layout == RowLayout::Sliced ? 1u : 0u) + 2 * shards;
-    auto &slot = cache[{classes, variant}];
+    auto &slot = cache[{classes, layout}];
     if (!slot) {
         slot = std::make_unique<ClassScaleFixture>(kScaleDim);
         Rng rng(17);
@@ -362,12 +357,10 @@ classScaleFixture(std::size_t classes, RowLayout layout,
         }
         slot->queries = bench::makeSkewedQueries(
             prototypes, kScaleBatch, 0.05, rng);
-        if (layout != RowLayout::RowMajor || shards != 1) {
+        if (layout == RowLayout::Sliced) {
             StoreLayout spec;
             spec.layout = layout;
-            spec.shards = shards;
-            spec.slicePrefix =
-                layout == RowLayout::Sliced ? kScalePrefix : 0;
+            spec.slicePrefix = kScalePrefix;
             slot->rows.setLayout(spec);
         }
     }
@@ -379,7 +372,7 @@ classScaleBenchmark(benchmark::State &state, RowLayout layout)
 {
     const auto classes = static_cast<std::size_t>(state.range(0));
     const ClassScaleFixture &fx =
-        classScaleFixture(classes, layout, 1);
+        classScaleFixture(classes, layout);
     ScanPolicy policy;
     policy.prune = PruneMode::Auto;
     policy.cascadePrefix = kScalePrefix;
@@ -416,33 +409,6 @@ BENCHMARK(BM_ClassScaleSliced)
     ->Arg(100000)
     ->Arg(1000000)
     ->UseRealTime();
-
-/**
- * The sharded entry point on the sliced 100k store: per-shard
- * bound-pruned scans fanned over all hardware threads, merged by the
- * bound-aware reduce. Bit-identical to BM_ClassScaleSliced/100000's
- * answers; the throughput delta is the shard fan-out.
- */
-void
-BM_ClassScaleSharded(benchmark::State &state)
-{
-    const auto classes = static_cast<std::size_t>(state.range(0));
-    const ClassScaleFixture &fx =
-        classScaleFixture(classes, RowLayout::Sliced, kScaleShards);
-    ScanPolicy policy;
-    policy.prune = PruneMode::Auto;
-    policy.cascadePrefix = kScalePrefix;
-    std::vector<RowMatch> best;
-    for (auto _ : state) {
-        for (const Hypervector &query : fx.queries) {
-            fx.rows.scan(query, {kScaleDim, 1, policy, 0}, nullptr,
-                         best);
-            benchmark::DoNotOptimize(best.data());
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * kScaleBatch);
-}
-BENCHMARK(BM_ClassScaleSharded)->Arg(100000)->UseRealTime();
 
 template <typename HamT, typename ConfigT>
 void

@@ -162,34 +162,6 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
         std::vector<RowMatch> best;
         std::vector<std::size_t> scratch;
     };
-    const auto mergeChunk = [&](const Chunk &chunk, std::size_t begin,
-                                std::size_t end) {
-        sink->queries.add(end - begin);
-        sink->rowsScanned.add((end - begin) * rows.rows());
-        sink->rowsPruned.add(chunk.stats.rowsPruned);
-        sink->wordsSkipped.add(chunk.stats.wordsSkipped);
-        sink->cascadeSurvivors.add(chunk.stats.cascadeSurvivors);
-    };
-
-    // A sharded store with a batch smaller than the worker budget
-    // flips the parallel axis: queries run one at a time and each
-    // query's shard scans fan out across the workers instead. Both
-    // shapes are bit-identical (each shard scan seeds its own bound),
-    // so routing is purely a throughput choice.
-    if (rows.shardCount() > 1 &&
-        queries.size() < resolveThreads(threads)) {
-        return batch::runPerQuery<SearchResult>(
-            {"am.batch", "am.chunk"}, queries.size(), sink,
-            [] { return Chunk{}; },
-            [&](std::size_t q, Chunk &chunk) {
-                return nearestOf(rows, queries[q],
-                                 {prefix, 1, policy, threads},
-                                 sink ? &chunk.stats : nullptr,
-                                 chunk.best, &chunk.scratch);
-            },
-            mergeChunk);
-    }
-
     return batch::run<SearchResult>(
         {"am.batch", "am.chunk"}, queries.size(), threads, sink,
         [] { return Chunk{}; },
@@ -198,7 +170,13 @@ AssociativeMemory::searchBatch(const std::vector<Hypervector> &queries,
                              sink ? &chunk.stats : nullptr, chunk.best,
                              &chunk.scratch);
         },
-        mergeChunk);
+        [&](const Chunk &chunk, std::size_t begin, std::size_t end) {
+            sink->queries.add(end - begin);
+            sink->rowsScanned.add((end - begin) * rows.rows());
+            sink->rowsPruned.add(chunk.stats.rowsPruned);
+            sink->wordsSkipped.add(chunk.stats.wordsSkipped);
+            sink->cascadeSurvivors.add(chunk.stats.cascadeSurvivors);
+        });
 }
 
 std::vector<RankedMatch>

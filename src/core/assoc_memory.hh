@@ -189,11 +189,10 @@ class AssociativeMemory
     /**
      * Batched exact search: one result per query, parallelized over
      * the batch with @p threads workers (0 = all hardware threads).
-     * On a sharded store with a batch smaller than the worker
-     * budget, parallelism flips inside each query instead (per-shard
-     * scans; see PackedRows::scan). Bit-identical to
-     * calling search() per query in order, for every thread count,
-     * batch split, layout and shard count.
+     * Each query scans on one worker, whatever the shard count (see
+     * PackedRows::scan). Bit-identical to calling search() per query
+     * in order, for every thread count, batch split, layout and
+     * shard count.
      * @pre size() > 0 and every query.dim() == dim().
      */
     std::vector<SearchResult>

@@ -4,12 +4,10 @@
 #include <bit>
 #include <cassert>
 #include <limits>
-#include <optional>
 #include <span>
 #include <stdexcept>
 
 #include "core/distance.hh"
-#include "core/parallel_for.hh"
 #include "core/trace.hh"
 
 namespace hdham
@@ -299,7 +297,7 @@ refineRows(const ShardView &view, const ShardScan &scan,
  * (distance, index), through the collector @p Top (BestRow for
  * kk = 1, TopRows otherwise). Returns the shard's pruning counters.
  * Each shard seeds its own bound, so its work and counters never
- * depend on other shards or on the worker that runs it.
+ * depend on other shards.
  */
 template <class Top>
 ScanStats
@@ -557,27 +555,15 @@ PackedRows::scan(const Hypervector &query, const ScanRequest &req,
         // Local indices are global and already sorted.
         total = scanShard(store.view(0), scratch, out);
     } else {
-        const bool fanOut = resolveThreads(req.threads) > 1;
-        std::vector<std::vector<RowMatch>> shardOuts(n);
-        std::vector<ScanStats> shardStats(n);
-        parallelForShards(n, fanOut ? req.threads : 1,
-                          [&](std::size_t s) {
-            std::optional<trace::Span> span;
-            if (fanOut)
-                span.emplace("packed_rows.shard_scan");
+        // Shards run in ascending order, each folded into out as
+        // soon as it finishes.
+        std::vector<RowMatch> shardOut;
+        for (std::size_t s = 0; s < n; ++s) {
             const ShardView v = store.view(s);
             if (v.rows == 0)
-                return;
-            std::vector<std::size_t> workerScratch;
-            shardStats[s] = scanShard(
-                v, fanOut ? workerScratch : scratch, shardOuts[s]);
-        });
-        // Fold lists and counters in ascending shard order on the
-        // caller, so both are independent of the worker assignment.
-        for (std::size_t s = 0; s < n; ++s) {
-            foldShardTopK(out, shardOuts[s], store.view(s).firstRow,
-                          kk);
-            total += shardStats[s];
+                continue;
+            total += scanShard(v, scratch, shardOut);
+            foldShardTopK(out, shardOut, v.firstRow, kk);
         }
         std::sort_heap(out.begin(), out.end(), worseMatch);
     }

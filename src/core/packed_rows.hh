@@ -94,11 +94,9 @@ struct ScanPolicy
  * Work avoided by one pruned scan. rowsPruned and cascadeSurvivors
  * depend only on the distance values and the shard partition, so
  * they are identical across kernels, layouts and (summed per query)
- * across thread counts; wordsSkipped depends on where the active
- * kernel places its strip checks and is exactly reproducible only
- * for a pinned kernel. Sharded scans accumulate per-shard stats and
- * merge them in ascending shard order, so merged totals are exact
- * at every thread count.
+ * across batch thread counts; wordsSkipped depends on where the
+ * active kernel places its strip checks and is exactly reproducible
+ * only for a pinned kernel. A sharded scan sums its shards' stats.
  */
 struct ScanStats
 {
@@ -128,7 +126,7 @@ struct RowMatch
     std::size_t distance = 0;
 };
 
-/** What one scan() computes, and on how many workers. */
+/** What one scan() computes. */
 struct ScanRequest
 {
     /** Components compared: dim() for a full scan, fewer for
@@ -138,9 +136,6 @@ struct ScanRequest
     std::size_t k = 1;
     /** How the scan may skip row words. */
     ScanPolicy policy{};
-    /** Workers for the per-shard scans of a sharded store: 1 scans
-     *  inline on the caller, 0 means all hardware threads. */
-    std::size_t threads = 1;
 };
 
 /**
@@ -202,8 +197,7 @@ class PackedRows
 
     /**
      * Reserve capacity for @p extraRows more append() calls so bulk
-     * training / model loading never reallocates (and never breaks
-     * the sharded first-touch placement with growth copies).
+     * training / model loading never reallocates.
      */
     void reserve(std::size_t extraRows);
 
@@ -263,17 +257,16 @@ class PackedRows
      * counters accumulate into @p stats (may be null).
      * @p cascadeScratch, when non-null, holds the cascade's per-row
      * prefix distances so a batched caller avoids a per-query
-     * allocation; an inline scan reuses it, a fanned-out one does
-     * not. @throws std::logic_error when rows() == 0.
+     * allocation; every shard reuses it. @throws std::logic_error
+     * when rows() == 0.
      *
-     * Each shard runs one bound-pruned loop that keeps its exact top
-     * min(k, shard rows) and seeds its own bound. With one shard, or
-     * when req.threads resolves to one worker, the shards run inline
-     * in ascending order; otherwise they fan out over
-     * parallelForShards, each under a "packed_rows.shard_scan" trace
-     * span. Either way the shard lists and counters are folded on
-     * the caller in ascending shard order, so answers and every
-     * counter are identical at any thread count.
+     * The scan runs on the calling thread; batch parallelism comes
+     * from chunking queries (core/batch_executor.hh), not from
+     * splitting one query. Each shard runs one bound-pruned loop
+     * that keeps its exact top min(k, shard rows) and seeds its own
+     * bound, so a shard restarts the bound the previous shard had
+     * tightened. Shards run in ascending order, and each shard's
+     * list folds into @p out as soon as it finishes.
      *
      * Exactness: the answer is the exhaustive scan's, bit for bit,
      * including the lowest-index tie rule, because

@@ -12,6 +12,41 @@
 namespace hdham
 {
 
+namespace
+{
+
+/** One shard's contiguous slice of the row range. */
+struct ShardRange
+{
+    /** First covered row. */
+    std::size_t begin = 0;
+    /** One past the last covered row. */
+    std::size_t end = 0;
+};
+
+/**
+ * Partition [0, n) into up to @p shards contiguous ascending ranges
+ * of near-equal size. Never returns an empty range, so the result
+ * may hold fewer than @p shards entries when n < shards. Shard s
+ * always covers lower rows than shard s + 1, which is what lets a
+ * shard merge preserve the lowest-index tie rule.
+ */
+std::vector<ShardRange>
+shardRanges(std::size_t n, std::size_t shards)
+{
+    std::vector<ShardRange> ranges;
+    if (n == 0 || shards == 0)
+        return ranges;
+    const std::size_t count = std::min(shards, n);
+    const std::size_t chunk = (n + count - 1) / count;
+    ranges.reserve(count);
+    for (std::size_t begin = 0; begin < n; begin += chunk)
+        ranges.push_back({begin, std::min(begin + chunk, n)});
+    return ranges;
+}
+
+} // namespace
+
 const char *
 rowLayoutName(RowLayout layout)
 {
@@ -175,36 +210,31 @@ RowStore::reshape(const StoreLayout &request)
         shardRanges(numRows, resolved.shards);
     std::vector<Shard> next(ranges.size());
 
-    // Fill every shard from inside its own worker so the new pages
-    // are first-touched by the thread that will scan them. Reading
-    // the old shards concurrently is safe: they are immutable here.
-    parallelForShards(
-        ranges.size(), resolved.shards, [&](std::size_t i) {
-            const ShardRange &range = ranges[i];
-            Shard &shard = next[i];
-            shard.firstRow = range.begin;
-            shard.rows = range.end - range.begin;
-            const std::size_t headStride =
-                sliceWords == 0 ? rowWords : sliceWords;
-            shard.head.resize(shard.rows * headStride);
-            if (sliceWords != 0)
-                shard.tail.resize(shard.rows *
-                                  (rowWords - sliceWords));
-            std::vector<std::uint64_t> scratch(rowWords);
-            for (std::size_t r = 0; r < shard.rows; ++r) {
-                copyRow(range.begin + r, scratch.data());
-                std::memcpy(shard.head.data() + r * headStride,
-                            scratch.data(),
-                            headStride * sizeof(std::uint64_t));
-                if (sliceWords != 0) {
-                    std::memcpy(shard.tail.data() +
-                                    r * (rowWords - sliceWords),
-                                scratch.data() + sliceWords,
-                                (rowWords - sliceWords) *
-                                    sizeof(std::uint64_t));
-                }
+    const std::size_t headStride =
+        sliceWords == 0 ? rowWords : sliceWords;
+    std::vector<std::uint64_t> scratch(rowWords);
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+        const ShardRange &range = ranges[i];
+        Shard &shard = next[i];
+        shard.firstRow = range.begin;
+        shard.rows = range.end - range.begin;
+        shard.head.resize(shard.rows * headStride);
+        if (sliceWords != 0)
+            shard.tail.resize(shard.rows * (rowWords - sliceWords));
+        for (std::size_t r = 0; r < shard.rows; ++r) {
+            copyRow(range.begin + r, scratch.data());
+            std::memcpy(shard.head.data() + r * headStride,
+                        scratch.data(),
+                        headStride * sizeof(std::uint64_t));
+            if (sliceWords != 0) {
+                std::memcpy(shard.tail.data() +
+                                r * (rowWords - sliceWords),
+                            scratch.data() + sliceWords,
+                            (rowWords - sliceWords) *
+                                sizeof(std::uint64_t));
             }
-        });
+        }
+    }
 
     shards = std::move(next);
     if (shards.empty())

@@ -7,9 +7,7 @@
  * scaling along the class axis: at C >= 100k rows the sampled-prefix
  * cascade (ScanPolicy::cascadePrefix) reads a few leading words of
  * every row and then strides past the rest, so the hot first pass
- * touches one cache line per row out of dozens; and a single
- * allocation is first-touch-hostile when several workers scan
- * disjoint row ranges.
+ * touches one cache line per row out of dozens.
  *
  * RowStore factors the physical layout out of the scan logic. It
  * owns the words behind PackedRows in one of two layouts:
@@ -27,14 +25,14 @@
  *    tail region.
  *
  * Rows are additionally partitioned into contiguous shards
- * (StoreLayout::shards). reshape() populates every shard's vectors
- * from inside parallelForShards, so each shard's pages are
- * first-touched by the worker that will normally scan it -- the
- * NUMA-friendly placement a per-thread sharded scan wants. A scan
- * runs independently per shard and the caller merges shard winners;
- * because every shard covers a contiguous ascending row range,
- * merging in shard order with a strict (distance, index) rule
- * preserves the global lowest-index tie rule bit for bit.
+ * (StoreLayout::shards), the partition an hdham.model.v1 file
+ * records in its shard table. A scan runs one bound-pruned loop per
+ * shard, one shard after another on the calling thread, and merges
+ * the shard winners; because every shard covers a contiguous
+ * ascending row range, merging in shard order with a strict
+ * (distance, index) rule preserves the global lowest-index tie rule
+ * bit for bit. Each shard restarts its bound, so more shards only
+ * cost scan work.
  *
  * Conversions between layouts/shard counts are exact: reshape() only
  * moves words, never changes them, and a round trip through any
@@ -203,9 +201,7 @@ class RowStore
     /**
      * Re-lay the store: partition rows into @p spec.shards
      * contiguous shards (0 = one per hardware thread) in the
-     * requested layout. Every shard's storage is filled from inside
-     * parallelForShards so its pages are first-touched by the worker
-     * that will scan it. Word-exact: every row reads back bit for
+     * requested layout. Word-exact: every row reads back bit for
      * bit afterwards. @throws std::invalid_argument when
      * spec.layout == Sliced and spec.slicePrefix == 0.
      */

@@ -125,37 +125,6 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
         std::vector<RowMatch> best;
         std::vector<std::size_t> scratch;
     };
-    const auto mergeChunk = [&](const Chunk &chunk, std::size_t begin,
-                                std::size_t end) {
-        const std::size_t n = end - begin;
-        sink->queries.add(n);
-        sink->rowsScanned.add(n * rows.rows());
-        sink->bitsSampled.add(n * prefix);
-        sink->rowsPruned.add(chunk.stats.rowsPruned);
-        sink->wordsSkipped.add(chunk.stats.wordsSkipped);
-        sink->cascadeSurvivors.add(chunk.stats.cascadeSurvivors);
-    };
-
-    // A sharded store with a batch smaller than the worker budget
-    // serves queries one at a time and fans each query's shard scans
-    // out across the workers instead -- bit-identical either way.
-    // The traced path stays on the query-chunked executor: its spans
-    // measure the exhaustive split scan.
-    if (rows.shardCount() > 1 && !trace::enabled() &&
-        queries.size() < resolveThreads(threads)) {
-        return batch::runPerQuery<HamResult>(
-            {"d_ham.batch", "d_ham.chunk"}, queries.size(), sink,
-            [] { return Chunk{false, {}, {}, {}}; },
-            [&](std::size_t q, Chunk &chunk) {
-                assert(queries[q].dim() == cfg.dim);
-                return nearestOf(rows, queries[q],
-                                 {prefix, 1, policy, threads},
-                                 sink ? &chunk.stats : nullptr,
-                                 chunk.best, &chunk.scratch);
-            },
-            mergeChunk);
-    }
-
     return batch::run<HamResult>(
         {"d_ham.batch", "d_ham.chunk"}, queries.size(), threads,
         sink, [] { return Chunk{trace::enabled(), {}, {}, {}}; },
@@ -168,7 +137,15 @@ DHam::searchBatch(const std::vector<Hypervector> &queries,
                              sink ? &chunk.stats : nullptr, chunk.best,
                              &chunk.scratch);
         },
-        mergeChunk);
+        [&](const Chunk &chunk, std::size_t begin, std::size_t end) {
+            const std::size_t n = end - begin;
+            sink->queries.add(n);
+            sink->rowsScanned.add(n * rows.rows());
+            sink->bitsSampled.add(n * prefix);
+            sink->rowsPruned.add(chunk.stats.rowsPruned);
+            sink->wordsSkipped.add(chunk.stats.wordsSkipped);
+            sink->cascadeSurvivors.add(chunk.stats.cascadeSurvivors);
+        });
 }
 
 } // namespace hdham::ham

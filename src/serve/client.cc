@@ -110,7 +110,8 @@ Client::decodeQueryReply(const Response &resp)
     QueryReply reply;
     reply.sequence = in.u64();
     const std::uint32_t n = in.u32();
-    reply.results.reserve(n);
+    // Each match is two u64s and a str.
+    reply.results.reserve(in.plausibleCount(n, 20));
     for (std::uint32_t i = 0; i < n; ++i) {
         MatchReply m;
         m.classId = in.u64();
@@ -167,11 +168,12 @@ Client::topK(std::size_t k, const std::vector<Hypervector> &queries)
     TopKReply reply;
     reply.sequence = in.u64();
     const std::uint32_t n = in.u32();
-    reply.results.reserve(n);
+    // Each list is a u32 count of (u64, u64) entries.
+    reply.results.reserve(in.plausibleCount(n, 4));
     for (std::uint32_t i = 0; i < n; ++i) {
         const std::uint32_t m = in.u32();
         std::vector<RankedReply> ranked;
-        ranked.reserve(m);
+        ranked.reserve(in.plausibleCount(m, 16));
         for (std::uint32_t j = 0; j < m; ++j) {
             RankedReply r;
             r.classId = in.u64();

@@ -50,6 +50,7 @@
 #ifndef HDHAM_SERVE_PROTOCOL_HH
 #define HDHAM_SERVE_PROTOCOL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
@@ -168,6 +169,18 @@ class Reader
     }
 
     std::size_t left() const { return remaining; }
+
+    /**
+     * How many elements to reserve for a field that declares
+     * @p count, each taking at least @p minEntryBytes payload
+     * bytes: the count comes off the wire, so the bytes left bound
+     * it. Decoding the elements still fails on a short payload.
+     */
+    std::size_t plausibleCount(std::uint32_t count,
+                               std::size_t minEntryBytes) const
+    {
+        return std::min<std::size_t>(count, remaining / minEntryBytes);
+    }
 
     std::uint8_t u8()
     {

@@ -38,16 +38,8 @@ updateSeed()
     return lang::PipelineConfig{}.seed ^ 0x75706474ULL;
 }
 
-/**
- * How many elements to reserve for a request that declares @p count:
- * the count comes off the wire, and every element (a str or an hv)
- * takes at least 4 payload bytes, so the payload bounds it.
- */
-std::size_t
-plausibleCount(std::uint32_t count, const Reader &req)
-{
-    return std::min<std::size_t>(count, req.left() / 4);
-}
+/** Fewest payload bytes of one request element (a str or an hv). */
+constexpr std::size_t kMinElementBytes = 4;
 
 std::vector<std::uint8_t>
 bytesOf(const std::string &s)
@@ -362,7 +354,7 @@ Server::doClassify(Reader &req)
 {
     const std::uint32_t count = req.u32();
     std::vector<std::string> texts;
-    texts.reserve(plausibleCount(count, req));
+    texts.reserve(req.plausibleCount(count, kMinElementBytes));
     for (std::uint32_t i = 0; i < count; ++i)
         texts.push_back(req.str());
 
@@ -405,7 +397,7 @@ Server::doSearch(Reader &req)
     const AssociativeMemory &memory = pin->memory();
 
     std::vector<Hypervector> queries;
-    queries.reserve(plausibleCount(count, req));
+    queries.reserve(req.plausibleCount(count, kMinElementBytes));
     for (std::uint32_t i = 0; i < count; ++i)
         queries.push_back(readQueryVector(req, memory.dim()));
 
@@ -432,7 +424,7 @@ Server::doTopK(Reader &req)
     const AssociativeMemory &memory = pin->memory();
 
     std::vector<Hypervector> queries;
-    queries.reserve(plausibleCount(count, req));
+    queries.reserve(req.plausibleCount(count, kMinElementBytes));
     for (std::uint32_t i = 0; i < count; ++i)
         queries.push_back(readQueryVector(req, memory.dim()));
 
@@ -460,44 +452,50 @@ Server::doUpdate(Reader &req)
     const std::uint32_t threshold = req.u32();
     const std::uint32_t count = req.u32();
 
+    if (mode != kAssimilate && mode != kLabeled)
+        throw std::runtime_error("serve: unknown update mode " +
+                                 std::to_string(mode));
+
     const snapshot::SnapshotRef pin = pinOrThrow();
     const Encoder &encoder = encoderFor(*pin);
-    Rng rng(updateSeed());
 
-    std::uint32_t applied = 0;
+    // Decode and check every sample before the builder sees any, so
+    // a rejected Update stages nothing.
+    std::vector<std::pair<std::string, std::string>> samples;
+    samples.reserve(req.plausibleCount(count, 2 * kMinElementBytes));
     for (std::uint32_t i = 0; i < count; ++i) {
-        const std::string label = req.str();
-        const std::string text = req.str();
+        std::string label = req.str();
+        std::string text = req.str();
         if (text.size() < encoder.ngramSize())
             throw std::runtime_error(
                 "serve: update sample shorter than the n-gram "
                 "size");
+        samples.emplace_back(std::move(label), std::move(text));
+    }
+
+    Rng rng(updateSeed());
+    for (const auto &[label, text] : samples) {
         const Hypervector hv = encoder.encode(text, rng);
         if (mode == kAssimilate) {
             updateBuilder->assimilate(hv, label, threshold);
-        } else if (mode == kLabeled) {
-            // Accumulate into the class with this label, creating
-            // it on first sight.
-            std::size_t id = updateBuilder->classes();
-            for (std::size_t c = 0; c < updateBuilder->classes();
-                 ++c) {
-                if (updateBuilder->labelOf(c) == label) {
-                    id = c;
-                    break;
-                }
-            }
-            if (id == updateBuilder->classes())
-                id = updateBuilder->addClass(label);
-            updateBuilder->addSample(id, hv);
-        } else {
-            throw std::runtime_error("serve: unknown update mode " +
-                                     std::to_string(mode));
+            continue;
         }
-        ++applied;
+        // Accumulate into the class with this label, creating it on
+        // first sight.
+        std::size_t id = updateBuilder->classes();
+        for (std::size_t c = 0; c < updateBuilder->classes(); ++c) {
+            if (updateBuilder->labelOf(c) == label) {
+                id = c;
+                break;
+            }
+        }
+        if (id == updateBuilder->classes())
+            id = updateBuilder->addClass(label);
+        updateBuilder->addSample(id, hv);
     }
 
     Writer out;
-    out.u32(applied);
+    out.u32(static_cast<std::uint32_t>(samples.size()));
     out.u64(updateBuilder->classes());
     return out.take();
 }

@@ -10,8 +10,7 @@
  * hashes against a committed table. wordsSkipped depends on where a
  * kernel places its strip checks, so it is hashed separately and
  * checked only while the scalar reference kernel is active (the
- * scalar-pinned rerun of this binary). Sharded stores are scanned on
- * one thread and again on three; both must match the same row.
+ * scalar-pinned rerun of this binary).
  *
  * A mismatch prints the configuration and the hashes it produced, in
  * the table's own format.
@@ -102,8 +101,7 @@ struct Workload
 
 Golden
 hashConfig(const PackedRows &rows, const Workload &w,
-           std::size_t prefix, const ScanPolicy &policy,
-           std::size_t threads)
+           std::size_t prefix, const ScanPolicy &policy)
 {
     Fnv answers;
     Fnv words;
@@ -111,7 +109,7 @@ hashConfig(const PackedRows &rows, const Workload &w,
         for (const Hypervector &query : w.queries) {
             ScanStats stats;
             std::vector<RowMatch> top;
-            rows.scan(query, {prefix, k, policy, threads}, &stats, top);
+            rows.scan(query, {prefix, k, policy}, &stats, top);
             for (const RowMatch &m : top) {
                 answers.add(m.index);
                 answers.add(m.distance);
@@ -152,33 +150,26 @@ TEST(ScanGoldenTest, AnswersAndCountersMatchTheCommittedTable)
                             const ScanPolicy policy{prune, cascade};
                             ASSERT_LT(next, std::size(kGolden));
                             const Golden &want = kGolden[next++];
-                            for (std::size_t threads : {1u, 3u}) {
-                                if (threads > 1 && shards == 1)
-                                    continue;
-                                const Golden got = hashConfig(
-                                    rows, w, prefix, policy, threads);
-                                if (got.answers == want.answers &&
-                                    (!scalar ||
-                                     got.words == want.words))
-                                    continue;
-                                ++mismatches;
-                                std::printf(
-                                    "    // D=%zu shards=%zu %s "
-                                    "prune=%s cascade=%zu prefix=%zu "
-                                    "threads=%zu\n"
-                                    "    {0x%016llxULL, 0x%016llxULL},"
-                                    "\n",
-                                    dim, shards,
-                                    layout == RowLayout::Sliced
-                                        ? "sliced"
-                                        : "row-major",
-                                    hdham::pruneModeName(prune),
-                                    cascade, prefix, threads,
-                                    static_cast<unsigned long long>(
-                                        got.answers),
-                                    static_cast<unsigned long long>(
-                                        got.words));
-                            }
+                            const Golden got =
+                                hashConfig(rows, w, prefix, policy);
+                            if (got.answers == want.answers &&
+                                (!scalar || got.words == want.words))
+                                continue;
+                            ++mismatches;
+                            std::printf(
+                                "    // D=%zu shards=%zu %s prune=%s "
+                                "cascade=%zu prefix=%zu\n"
+                                "    {0x%016llxULL, 0x%016llxULL},\n",
+                                dim, shards,
+                                layout == RowLayout::Sliced
+                                    ? "sliced"
+                                    : "row-major",
+                                hdham::pruneModeName(prune), cascade,
+                                prefix,
+                                static_cast<unsigned long long>(
+                                    got.answers),
+                                static_cast<unsigned long long>(
+                                    got.words));
                         }
                     }
                 }

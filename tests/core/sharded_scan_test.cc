@@ -2,13 +2,11 @@
  * @file
  * Determinism suite for the sharded scan paths.
  *
- * The sharded contract: scan() at any thread count is
- * bit-identical to the unsharded row-major exhaustive scan -- winner
- * indices, distances and the lowest-index tie rule -- for every
- * layout, shard count and thread count; and because every shard
- * seeds its own pruning bound, the merged ScanStats counters are
- * byte-identical at every thread count (the worker assignment only
- * decides who runs a shard, never what the shard computes).
+ * The sharded contract: scan() is bit-identical to the unsharded
+ * row-major exhaustive scan -- winner indices, distances and the
+ * lowest-index tie rule -- for every layout and shard count; and
+ * because every shard seeds its own pruning bound, the pruned-row
+ * counters depend only on the shard partition, never on the layout.
  */
 
 #include <gtest/gtest.h>
@@ -40,7 +38,6 @@ constexpr std::size_t kSlicePrefix = 192;
 constexpr std::size_t kCascade = 128;
 
 const std::size_t kShardCounts[] = {1, 2, 3, 7, 16};
-const std::size_t kThreadCounts[] = {1, 4, 8};
 
 /** Policies spanning exhaustive, abandon-only and cascade scans. */
 std::vector<ScanPolicy>
@@ -96,14 +93,14 @@ workload()
     return w;
 }
 
-/** The top-@p k scan on @p threads workers. */
+/** The top-@p k scan. */
 std::vector<RowMatch>
 scanTop(const PackedRows &rows, const Hypervector &query,
-        std::size_t k, const ScanPolicy &policy, std::size_t threads,
+        std::size_t k, const ScanPolicy &policy,
         ScanStats *stats = nullptr)
 {
     std::vector<RowMatch> out;
-    rows.scan(query, {kDim, k, policy, threads}, stats, out);
+    rows.scan(query, {kDim, k, policy}, stats, out);
     return out;
 }
 
@@ -129,23 +126,18 @@ TEST(ShardedScanTest, NearestMatchesUnshardedExhaustiveOracle)
             for (const Hypervector &query : w.queries) {
                 const RowMatch want =
                     scanTop(w.oracle, query, 1,
-                            ScanPolicy{PruneMode::Off, 0}, 1)
+                            ScanPolicy{PruneMode::Off, 0})
                         .at(0);
                 for (const ScanPolicy &policy : shardedPolicies()) {
-                    for (const std::size_t threads : kThreadCounts) {
-                        const RowMatch got =
-                            scanTop(sharded, query, 1, policy, threads)
-                                .at(0);
-                        EXPECT_EQ(got.index, want.index)
-                            << hdham::rowLayoutName(spec.layout)
-                            << " shards " << shards << " threads "
-                            << threads << " cascade "
-                            << policy.cascadePrefix;
-                        EXPECT_EQ(got.distance, want.distance)
-                            << hdham::rowLayoutName(spec.layout)
-                            << " shards " << shards << " threads "
-                            << threads;
-                    }
+                    const RowMatch got =
+                        scanTop(sharded, query, 1, policy).at(0);
+                    EXPECT_EQ(got.index, want.index)
+                        << hdham::rowLayoutName(spec.layout)
+                        << " shards " << shards << " cascade "
+                        << policy.cascadePrefix;
+                    EXPECT_EQ(got.distance, want.distance)
+                        << hdham::rowLayoutName(spec.layout)
+                        << " shards " << shards;
                 }
             }
         }
@@ -179,79 +171,19 @@ TEST(ShardedScanTest, TopKMatchesSortOracle)
                     const std::size_t kk = std::min(k, kRows);
                     for (const ScanPolicy &policy :
                          shardedPolicies()) {
-                        for (const std::size_t threads :
-                             kThreadCounts) {
-                            const std::vector<RowMatch> got = scanTop(
-                                sharded, query, k, policy, threads);
-                            ASSERT_EQ(got.size(), kk)
-                                << "k " << k << " shards " << shards;
-                            for (std::size_t i = 0; i < kk; ++i) {
-                                EXPECT_EQ(got[i].index,
-                                          oracle[i].index)
-                                    << hdham::rowLayoutName(
-                                           spec.layout)
-                                    << " shards " << shards
-                                    << " threads " << threads
-                                    << " k " << k << " rank " << i;
-                                EXPECT_EQ(got[i].distance,
-                                          oracle[i].distance)
-                                    << "k " << k << " rank " << i;
-                            }
+                        const std::vector<RowMatch> got =
+                            scanTop(sharded, query, k, policy);
+                        ASSERT_EQ(got.size(), kk)
+                            << "k " << k << " shards " << shards;
+                        for (std::size_t i = 0; i < kk; ++i) {
+                            EXPECT_EQ(got[i].index, oracle[i].index)
+                                << hdham::rowLayoutName(spec.layout)
+                                << " shards " << shards << " k " << k
+                                << " rank " << i;
+                            EXPECT_EQ(got[i].distance,
+                                      oracle[i].distance)
+                                << "k " << k << " rank " << i;
                         }
-                    }
-                }
-            }
-        }
-    }
-}
-
-TEST(ShardedScanTest, MergedCountersAreThreadCountInvariant)
-{
-    // Per-shard bounds make every counter a pure function of the
-    // (query, shard partition) pair: the inline per-shard fold and
-    // every fanned-out thread count must produce byte-identical
-    // merged ScanStats, at k = 1 and k = 5.
-    const ShardedWorkload &w = workload();
-    PackedRows sharded(kDim);
-    for (std::size_t r = 0; r < kRows; ++r)
-        sharded.append(w.oracle.rowVector(r));
-    for (const std::size_t shards : kShardCounts) {
-        for (const StoreLayout &spec : layoutAxis(shards)) {
-            sharded.setLayout(spec);
-            for (const ScanPolicy &policy : shardedPolicies()) {
-                for (const Hypervector &query : w.queries) {
-                    ScanStats sequential;
-                    scanTop(sharded, query, 1, policy, 1, &sequential);
-                    ScanStats seqTopK;
-                    scanTop(sharded, query, 5, policy, 1, &seqTopK);
-                    for (const std::size_t threads : kThreadCounts) {
-                        ScanStats stats;
-                        scanTop(sharded, query, 1, policy, threads,
-                                &stats);
-                        EXPECT_EQ(stats.rowsPruned,
-                                  sequential.rowsPruned)
-                            << hdham::rowLayoutName(spec.layout)
-                            << " shards " << shards << " threads "
-                            << threads;
-                        EXPECT_EQ(stats.wordsSkipped,
-                                  sequential.wordsSkipped)
-                            << "threads " << threads;
-                        EXPECT_EQ(stats.cascadeSurvivors,
-                                  sequential.cascadeSurvivors)
-                            << "threads " << threads;
-
-                        ScanStats topkStats;
-                        scanTop(sharded, query, 5, policy, threads,
-                                &topkStats);
-                        EXPECT_EQ(topkStats.rowsPruned,
-                                  seqTopK.rowsPruned)
-                            << "topK threads " << threads;
-                        EXPECT_EQ(topkStats.wordsSkipped,
-                                  seqTopK.wordsSkipped)
-                            << "topK threads " << threads;
-                        EXPECT_EQ(topkStats.cascadeSurvivors,
-                                  seqTopK.cascadeSurvivors)
-                            << "topK threads " << threads;
                     }
                 }
             }
@@ -280,8 +212,8 @@ TEST(ShardedScanTest, PrunedRowCountersAreLayoutInvariant)
             for (const Hypervector &query : w.queries) {
                 ScanStats row;
                 ScanStats slice;
-                scanTop(rowMajor, query, 1, policy, 1, &row);
-                scanTop(sliced, query, 1, policy, 1, &slice);
+                scanTop(rowMajor, query, 1, policy, &row);
+                scanTop(sliced, query, 1, policy, &slice);
                 EXPECT_EQ(slice.rowsPruned, row.rowsPruned)
                     << "shards " << shards << " cascade "
                     << policy.cascadePrefix;
@@ -309,23 +241,18 @@ TEST(ShardedScanTest, AllRowsIdenticalTiesResolveToRowZero)
         for (const StoreLayout &spec : layoutAxis(shards)) {
             rows.setLayout(spec);
             for (const ScanPolicy &policy : shardedPolicies()) {
-                for (const std::size_t threads : kThreadCounts) {
-                    const RowMatch best =
-                        scanTop(rows, query, 1, policy, threads).at(0);
-                    EXPECT_EQ(best.index, 0u)
-                        << hdham::rowLayoutName(spec.layout)
-                        << " shards " << shards << " threads "
-                        << threads;
-                    const std::size_t dist = best.distance;
-                    const std::vector<RowMatch> top =
-                        scanTop(rows, query, 6, policy, threads);
-                    ASSERT_EQ(top.size(), 6u);
-                    for (std::size_t i = 0; i < top.size(); ++i) {
-                        EXPECT_EQ(top[i].index, i)
-                            << "shards " << shards << " threads "
-                            << threads;
-                        EXPECT_EQ(top[i].distance, dist);
-                    }
+                const RowMatch best =
+                    scanTop(rows, query, 1, policy).at(0);
+                EXPECT_EQ(best.index, 0u)
+                    << hdham::rowLayoutName(spec.layout) << " shards "
+                    << shards;
+                const std::size_t dist = best.distance;
+                const std::vector<RowMatch> top =
+                    scanTop(rows, query, 6, policy);
+                ASSERT_EQ(top.size(), 6u);
+                for (std::size_t i = 0; i < top.size(); ++i) {
+                    EXPECT_EQ(top[i].index, i) << "shards " << shards;
+                    EXPECT_EQ(top[i].distance, dist);
                 }
             }
         }

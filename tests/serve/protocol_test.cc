@@ -1,22 +1,31 @@
 /**
  * @file
- * hdham.serve.v1 payload decoding against hostile sizes: a field
- * that declares more elements than its payload holds must be refused
- * before anything is allocated for it. This TU replaces the global
- * operator new so a test can see the largest allocation a decode
- * asks for.
+ * hdham.serve.v1 payload decoding against hostile sizes, on both
+ * sides of the socket: a field that declares more elements than its
+ * payload holds must be refused before anything is allocated for it.
+ * This TU replaces the global operator new so a test can see the
+ * largest allocation a decode asks for.
  */
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/hypervector.hh"
+#include "serve/client.hh"
 #include "serve/protocol.hh"
 
 namespace
@@ -58,7 +67,11 @@ operator delete(void *p, std::size_t) noexcept
 namespace
 {
 
+using hdham::Hypervector;
+using hdham::serve::Client;
+using hdham::serve::MsgType;
 using hdham::serve::Reader;
+using hdham::serve::Writer;
 
 TEST(ReaderTest, WordCountIsCheckedBeforeAllocating)
 {
@@ -89,6 +102,97 @@ TEST(ReaderTest, WordCountIsCheckedBeforeAllocating)
                            " bytes"),
               std::string::npos)
         << message;
+}
+
+/**
+ * A server that answers one request, on one connection, with a fixed
+ * OK payload under the request's own type.
+ */
+class CannedReplyServer
+{
+  public:
+    explicit CannedReplyServer(std::vector<std::uint8_t> reply)
+        : path("/tmp/hdham_canned_" + std::to_string(::getpid()) +
+               ".sock"),
+          listenFd(::socket(AF_UNIX, SOCK_STREAM, 0))
+    {
+        sockaddr_un addr{};
+        addr.sun_family = AF_UNIX;
+        std::strncpy(addr.sun_path, path.c_str(),
+                     sizeof(addr.sun_path) - 1);
+        std::remove(path.c_str());
+        if (listenFd < 0 ||
+            ::bind(listenFd, reinterpret_cast<const sockaddr *>(&addr),
+                   sizeof(addr)) != 0 ||
+            ::listen(listenFd, 1) != 0)
+            throw std::runtime_error("cannot listen on " + path);
+        thread = std::thread([this, reply = std::move(reply)] {
+            const int fd = ::accept(listenFd, nullptr, nullptr);
+            if (fd < 0)
+                return;
+            hdham::serve::Frame request;
+            if (hdham::serve::readFrame(fd, request))
+                hdham::serve::writeResponse(fd, request.type,
+                                            hdham::serve::kOk, reply);
+            ::close(fd);
+        });
+    }
+
+    CannedReplyServer(const CannedReplyServer &) = delete;
+    CannedReplyServer &operator=(const CannedReplyServer &) = delete;
+
+    ~CannedReplyServer()
+    {
+        // Wakes a thread still blocked in accept(), should the client
+        // never have connected.
+        ::shutdown(listenFd, SHUT_RDWR);
+        thread.join();
+        ::close(listenFd);
+        std::remove(path.c_str());
+    }
+
+    const std::string path;
+
+  private:
+    int listenFd;
+    std::thread thread;
+};
+
+TEST(ClientTest, ReplyCountIsCheckedBeforeAllocating)
+{
+    // Search and TopK replies that declare 2^32 - 1 entries in a
+    // 16-byte payload. Each call must fail as a truncated payload
+    // and never ask for more memory than a few entries take.
+    for (const MsgType type : {MsgType::Search, MsgType::TopK}) {
+        Writer w;
+        w.u64(1);           // snapshot sequence
+        w.u32(0xffffffffu); // declared entries
+        w.u32(0);           // one empty top-k list, or a stray word
+        CannedReplyServer server(w.take());
+        Client client = Client::connectUnix(server.path);
+        const std::vector<Hypervector> queries{Hypervector(64)};
+
+        std::string message;
+        gLargest = 0;
+        gTracking = true;
+        try {
+            if (type == MsgType::Search)
+                client.search(queries);
+            else
+                client.topK(1, queries);
+        } catch (const std::runtime_error &e) {
+            message = e.what();
+        } catch (const std::exception &e) {
+            message = std::string("not a protocol error: ") + e.what();
+        }
+        gTracking = false;
+
+        const std::string where =
+            "type " + std::to_string(static_cast<int>(type));
+        EXPECT_LE(gLargest.load(), 4096u) << where;
+        EXPECT_NE(message.find("truncated payload"), std::string::npos)
+            << where << ": " << message;
+    }
 }
 
 } // namespace

@@ -351,6 +351,30 @@ TEST(ServerTest, UpdateThenSwapPublishesGrownSnapshot)
     EXPECT_EQ(reply.sequence, 2u);
 }
 
+TEST(ServerTest, RejectedUpdateStagesNothing)
+{
+    // A valid sample followed by one shorter than the n-gram size:
+    // the whole Update is refused, so the next Swap publishes the
+    // model's own classes and no more.
+    ServerFixture fx({}, "reject");
+    Client client = fx.connect();
+    try {
+        client.update(hdham::serve::kLabeled,
+                      {{"newlang", "aaaa bbbb cccc dddd eeee ffff gggg"},
+                       {"other", "ab"}});
+        FAIL() << "a short sample must be rejected";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("n-gram"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    EXPECT_EQ(client.swap().sequence, 2u);
+    const PingReply after = client.ping();
+    EXPECT_EQ(after.sequence, 2u);
+    EXPECT_EQ(after.classes, kClasses);
+}
+
 TEST(ServerTest, AssimilateMergesIntoNearestClass)
 {
     ServerFixture fx({}, "assim");
